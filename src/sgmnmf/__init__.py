@@ -32,7 +32,6 @@ from .optimizer import (
     update_q_gaussian,
     update_q_subgaussian,
     update_tvzg,
-    update_tvzg_gaussian,
 )
 from .separate import SeparatedSources, wiener_separate, wiener_separate_fullrank
 from .simulate import MixtureBundle, RoomSpec, gen_subgaussian_source, mix, synth_rir
@@ -69,7 +68,6 @@ __all__ = [
     "update_q_gaussian",
     "update_q_subgaussian",
     "update_tvzg",
-    "update_tvzg_gaussian",
     "SeparatedSources",
     "wiener_separate",
     "wiener_separate_fullrank",

@@ -6,7 +6,15 @@ class SgmnmfError(Exception):
 
 
 class SingularMatrixError(SgmnmfError):
-    """A matrix is numerically singular (pivot below the relative threshold)."""
+    """A matrix is numerically singular (pivot below the relative threshold).
+
+    `index` is the offending matrix's position in the flattened batch,
+    when the raiser knows it.
+    """
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 class DimensionMismatchError(SgmnmfError):

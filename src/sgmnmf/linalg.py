@@ -51,7 +51,8 @@ def lu_factor(a):
             idx = int(np.flatnonzero(bad)[0])
             raise SingularMatrixError(
                 f"pivot {pivmag[idx]:.3e} below threshold {thresh[idx]:.3e} "
-                f"at step {k} (batch index {idx})"
+                f"at step {k} (batch index {idx})",
+                index=idx,
             )
         swap = p != k
         if swap.any():

@@ -6,6 +6,10 @@ m channels (M).  The source spectrogram is sigma_ijn = sum_k t_ik v_kj
 z_kn; the per-channel diagonal-domain gain is chi_ijm = sum_n sigma_ijn
 g_inm.  Q_i (rows are the conjugated steering directions) diagonalizes
 every source's spatial covariance at frequency i simultaneously.
+
+The public accessors return (I, J, M) arrays.  The optimizer works in
+the channel-major layout (I, M, J), where every contraction over bases
+or frames is one matmul and the channel sums run over contiguous rows.
 """
 
 import json
@@ -134,20 +138,49 @@ def init_state(hyper: Hyperparams, n_bins: int, n_frames: int, n_channels: int) 
     return SeparationState(SourceModel(t, v, z), SpatialModel(q, g), hyper)
 
 
-def compute_source_psd(source: SourceModel) -> np.ndarray:
-    """sigma_ijn = sum_k t_ik v_kj z_kn, shape (I, J, N)."""
-    t, v, z = source.T, source.V, source.Z
+def sum_channels(x):
+    """Sum over the channel axis (second to last), adding channels in order.
+
+    Bitwise equal to ``x.sum(axis=-2)``, and faster than numpy's
+    reduction over an axis this short.
+    """
+    out = x[..., 0, :].copy()
+    for c in range(1, x.shape[-2]):
+        out += x[..., c, :]
+    return out
+
+
+def _check_bases(t, v, z):
     if v.shape[0] != t.shape[1] or z.shape[0] != t.shape[1]:
         raise DimensionMismatchError(
             f"basis counts disagree: T{t.shape} V{v.shape} Z{z.shape}"
         )
-    return np.einsum("ik,kj,kn->ijn", t, v, z, optimize=True)
+
+
+def channel_gain(t, v, z, g):
+    """chi in channel-major layout (I, M, J), one matmul over the bases.
+
+    chi_imj = sum_k w_imk v_kj with w_imk = t_ik sum_n z_kn g_inm.  Takes
+    the factor arrays so callers can pass a subset of bins.
+    """
+    _check_bases(t, v, z)
+    w = t[:, None, :] * (g.transpose(0, 2, 1) @ z.T)
+    return (w.reshape(-1, w.shape[2]) @ v).reshape(w.shape[0], w.shape[1], v.shape[1])
+
+
+def compute_source_psd(source: SourceModel) -> np.ndarray:
+    """sigma_ijn = sum_k t_ik v_kj z_kn, shape (I, J, N)."""
+    t, v, z = source.T, source.V, source.Z
+    _check_bases(t, v, z)
+    tz = t[:, None, :] * z.T[None, :, :]
+    sigma = (tz.reshape(-1, tz.shape[2]) @ v).reshape(t.shape[0], z.shape[1], v.shape[1])
+    return sigma.transpose(0, 2, 1)
 
 
 def mixture_gain(state: SeparationState) -> np.ndarray:
     """chi_ijm = sum_{k,n} t_ik v_kj z_kn g_inm, shape (I, J, M)."""
-    sigma = compute_source_psd(state.source)
-    return np.einsum("ijn,inm->ijm", sigma, state.spatial.G, optimize=True)
+    src = state.source
+    return channel_gain(src.T, src.V, src.Z, state.spatial.G).transpose(0, 2, 1)
 
 
 def full_rank_scm(state: SeparationState) -> np.ndarray:
@@ -167,7 +200,7 @@ def projections(state: SeparationState, X: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"spectrogram {X.shape} incompatible with Q {state.spatial.Q.shape}"
         )
-    return np.einsum("imc,ijc->ijm", state.spatial.Q, X, optimize=True)
+    return (state.spatial.Q @ X.transpose(0, 2, 1)).transpose(0, 2, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -25,12 +25,22 @@ def cost_ggd_jd(state: model.SeparationState, X: np.ndarray) -> float:
     -2J sum_i log|det Q_i| + sum_ijm log chi_ijm
     + sum_ij (sum_m |p_ijm|^2 / chi_ijm)^{beta/2}
     """
-    beta = state.hyper.beta
-    p = model.projections(state, X)
+    p2 = np.abs(model.projections(state, X)) ** 2
     chi = model.mixture_gain(state)
-    y = np.sum(np.abs(p) ** 2 / chi, axis=2)
-    n_frames = X.shape[1]
-    det_term = -2.0 * n_frames * np.sum(linalg.log_abs_det(state.spatial.Q))
+    return jd_cost(
+        state.spatial.Q, p2.transpose(0, 2, 1), chi.transpose(0, 2, 1), state.hyper.beta
+    )
+
+
+def jd_cost(q: np.ndarray, p2: np.ndarray, chi: np.ndarray, beta: float) -> float:
+    """cost_ggd_jd from |p|^2 and chi in channel-major layout (I, M, J).
+
+    The optimizer carries both quantities across sub-updates, so its
+    per-iteration cost recomputes neither.
+    """
+    y = model.sum_channels(p2 / chi)
+    n_frames = p2.shape[2]
+    det_term = -2.0 * n_frames * np.sum(linalg.log_abs_det(q))
     val = det_term + np.sum(np.log(chi)) + np.sum(y ** (beta / 2.0))
     if not math.isfinite(val):
         raise NonFiniteError("objective evaluated to NaN/Inf")
@@ -50,8 +60,7 @@ def cost_gaussian_jd(state: model.SeparationState, X: np.ndarray) -> float:
 
 
 def current_cost(state: model.SeparationState, X: np.ndarray) -> float:
-    if state.hyper.algorithm == "gaussian":
-        return cost_gaussian_jd(state, X)
+    """The objective the optimizer descends; beta = 2 on the Gaussian path."""
     return cost_ggd_jd(state, X)
 
 

@@ -6,9 +6,15 @@ surrogate for its block), then per-row updates of every diagonalizer
 Q_i, then a scale renormalization that leaves the objective unchanged.
 Every sub-update is monotone: the objective never increases.
 
-The Gaussian (beta = 2) algorithm is kept as a separate code path; at
-beta = 2 the generic multiplicative rule degenerates to the familiar
-square-root rule, which the tests use as a cross-check.
+The Gaussian model (beta = 2) runs the same multiplicative sweep, where
+the general rule is the square-root rule bit for bit; only its
+diagonalizer rule (iterative projection) is separate.
+
+`run` computes what X alone determines once per run (FrameCache) and
+carries the projections p = Q x and the gains chi from one sub-update
+to the next, so each step recomputes only what the previous one
+changed.  Arrays over (bin, channel, frame) use model's channel-major
+layout (I, M, J).
 """
 
 import time
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, model, objective
-from .errors import NonFiniteError
+from .errors import DimensionMismatchError, NonFiniteError, SingularMatrixError
 
 # row projections are floored at this fraction of the frame scale inside
 # the diagonalizer update; see _row_system
@@ -30,8 +36,8 @@ DIAG_LOAD = 1e-14
 
 
 def _phi(p2, chi, beta):
-    """Contrast weights phi_ijm; reduces to |p|^2 at beta = 2."""
-    y = (p2 / chi).sum(axis=2, keepdims=True)
+    """Contrast weights phi_imj; reduces to |p|^2 at beta = 2."""
+    y = model.sum_channels(p2 / chi)[..., None, :]
     return p2 * y ** ((beta - 2.0) / 2.0)
 
 
@@ -59,7 +65,61 @@ def workspace(state: model.SeparationState, X: np.ndarray) -> UpdateWorkspace:
     pa = np.maximum(np.abs(p), PROJ_FLOOR * np.sqrt(s_safe * chi))
     r = pa ** (1.0 - 2.0 / beta) * chi ** (1.0 / beta) * s_safe ** (1.0 / beta - 0.5)
     r = np.where(s > 0, r, 1.0)
-    return UpdateWorkspace(projections=p, chi=chi, phi=_phi(p2, chi, beta), r=r)
+    phi = _phi(p2.transpose(0, 2, 1), chi.transpose(0, 2, 1), beta).transpose(0, 2, 1)
+    return UpdateWorkspace(projections=p, chi=chi, phi=phi, r=r)
+
+
+def _gain(state, bins=slice(None)):
+    """chi over the given bins, channel-major."""
+    src = state.source
+    return model.channel_gain(src.T[bins], src.V, src.Z, state.spatial.G[bins])
+
+
+def _outer_products(X):
+    """Frame outer products x_ij x_ij^H flattened to (I, J, M^2)."""
+    X = np.asarray(X, dtype=np.complex128)
+    n_bins, n_frames, n_ch = X.shape
+    xx = X[:, :, :, None] * X[:, :, None, :].conj()
+    return xx.reshape(n_bins, n_frames, n_ch * n_ch)
+
+
+class FrameCache:
+    """What the diagonalizer rules need from X, built once per run.
+
+    active: bins with a nonzero frame (silent bins keep their Q_i);
+    x: X[active] channel-major, (A, M, J);
+    xx: the frame outer products of X[active], (A, J, M^2), so each
+    weighted covariance sum_j w_j x_j x_j^H is one matmul.
+    """
+
+    def __init__(self, X: np.ndarray):
+        self.n_bins = X.shape[0]
+        self.active = np.flatnonzero(np.abs(X).max(axis=(1, 2)) > 0)
+        xa = np.asarray(X[self.active], dtype=np.complex128)
+        self.x = np.ascontiguousarray(xa.transpose(0, 2, 1))
+        self.xx = _outer_products(xa)
+
+    def projections(self, q):
+        """p = Q x over the active bins, (A, M, J)."""
+        if q.shape[0] != self.n_bins or q.shape[1] != self.x.shape[1]:
+            raise DimensionMismatchError(
+                f"spectrogram with {self.n_bins} bins x {self.x.shape[1]} channels "
+                f"incompatible with Q {q.shape}"
+            )
+        return q[self.active] @ self.x
+
+    def power(self, p):
+        """|p|^2 over all bins, (I, M, J); silent bins project to zero."""
+        p2 = np.zeros((self.n_bins,) + p.shape[1:])
+        p2[self.active] = np.abs(p) ** 2
+        return p2
+
+
+def _weighted_cov(w, xx):
+    """sum_j w_ij x_ij x_ij^H for real weights w (B, J), shape (B, M, M)."""
+    n_ch = int(round(np.sqrt(xx.shape[2])))
+    u = w[:, None, :] @ xx.view(np.float64)
+    return u.view(np.complex128).reshape(-1, n_ch, n_ch)
 
 
 def _check_factor(name, factor):
@@ -67,92 +127,70 @@ def _check_factor(name, factor):
         raise NonFiniteError(f"update factor for {name!r} contains NaN/Inf")
 
 
-def update_tvzg(state: model.SeparationState, X: np.ndarray, on_phase=None):
-    """One multiplicative sweep over t, v, z, g for general beta in (2, 4].
+def _family_sums(name, state, p2, chi):
+    """(num, den) of one multiplicative family at the current state.
 
-    Each factor is theta <- theta * (beta*num / (2*den))^{2/(beta+2)}
-    with num/den the phi- and chi-weighted partner sums; chi and phi are
-    recomputed before every family so each family sees the latest state.
+    p2 = |p|^2 and chi are channel-major.  Both sums come from one matmul
+    over the stack [phi / chi^2, 1 / chi].
+    """
+    t, v, z = state.source.T, state.source.V, state.source.Z
+    g = state.spatial.G
+    n_bins, n_ch, n_frames = p2.shape
+    n_bases, n_src = z.shape
+    ab = np.empty((2, n_bins, n_ch, n_frames))
+    np.divide(_phi(p2, chi, state.hyper.beta), chi**2, out=ab[0])
+    np.divide(1.0, chi, out=ab[1])
+    if name in ("t", "v"):
+        zg = g.transpose(0, 2, 1) @ z.T  # sum_n z_kn g_inm, (I, M, K)
+    if name == "v":
+        w = (t[:, None, :] * zg).reshape(-1, n_bases)
+        return w.T @ ab.reshape(2, -1, n_frames)
+    # c_imk = sum_j v_kj [a, b]_imj
+    c = (ab.reshape(-1, n_frames) @ v.T).reshape(2, n_bins, n_ch, n_bases)
+    if name == "t":
+        return model.sum_channels(zg * c)
+    if name == "z":
+        tc = (t[:, None, :] * c).reshape(2, -1, n_bases)
+        return (g.transpose(1, 0, 2).reshape(n_src, -1) @ tc).transpose(0, 2, 1)
+    tz = t[:, None, :] * z.T[None, :, :]
+    return tz @ c.transpose(0, 1, 3, 2)
+
+
+def _sweep_tvzg(state, p2, chi, on_phase):
+    """The t, v, z, g sweep from |p|^2 (channel-major).
+
+    `chi` is the gain at the current state, or None to compute it; after
+    the first family it is recomputed, so each family sees the latest
+    state.
     """
     beta = state.hyper.beta
     eps = state.hyper.floor_eps
     expo = 2.0 / (beta + 2.0)
-    t, v, z = state.source.T, state.source.V, state.source.Z
-    g = state.spatial.G
-    p2 = np.abs(model.projections(state, X)) ** 2
-
-    for name in ("t", "v", "z", "g"):
-        chi = model.mixture_gain(state)
-        a = _phi(p2, chi, beta) / chi**2
-        b = 1.0 / chi
-        if name == "t":
-            w = np.einsum("kn,inm->ikm", z, g, optimize=True)
-            num = np.einsum("ikm,kj,ijm->ik", w, v, a, optimize=True)
-            den = np.einsum("ikm,kj,ijm->ik", w, v, b, optimize=True)
-            arr = t
-        elif name == "v":
-            w = np.einsum("kn,inm->ikm", z, g, optimize=True)
-            num = np.einsum("ik,ikm,ijm->kj", t, w, a, optimize=True)
-            den = np.einsum("ik,ikm,ijm->kj", t, w, b, optimize=True)
-            arr = v
-        elif name == "z":
-            ca = np.einsum("kj,ijm->ikm", v, a, optimize=True)
-            cb = np.einsum("kj,ijm->ikm", v, b, optimize=True)
-            num = np.einsum("ik,ikm,inm->kn", t, ca, g, optimize=True)
-            den = np.einsum("ik,ikm,inm->kn", t, cb, g, optimize=True)
-            arr = z
-        else:
-            sigma = model.compute_source_psd(state.source)
-            num = np.einsum("ijn,ijm->inm", sigma, a, optimize=True)
-            den = np.einsum("ijn,ijm->inm", sigma, b, optimize=True)
-            arr = g
+    arrays = {"t": state.source.T, "v": state.source.V, "z": state.source.Z,
+              "g": state.spatial.G}
+    for name, arr in arrays.items():
+        if chi is None:
+            chi = _gain(state)
+        num, den = _family_sums(name, state, p2, chi)
+        chi = None
         factor = (beta * num / (2.0 * den)) ** expo
         _check_factor(name, factor)
         arr *= factor
         np.maximum(arr, eps, out=arr)
         if on_phase is not None:
             on_phase(name, state)
-    return state
 
 
-def update_tvzg_gaussian(state: model.SeparationState, X: np.ndarray, on_phase=None):
-    """Gaussian sweep: theta <- theta * sqrt(num/den) with phi = |p|^2."""
-    eps = state.hyper.floor_eps
-    t, v, z = state.source.T, state.source.V, state.source.Z
-    g = state.spatial.G
+def update_tvzg(state: model.SeparationState, X: np.ndarray, on_phase=None):
+    """One multiplicative sweep over t, v, z, g for beta in [2, 4].
+
+    Each factor is theta <- theta * (beta*num / (2*den))^{2/(beta+2)}
+    with num/den the phi- and chi-weighted partner sums; chi and phi are
+    recomputed before every family so each family sees the latest state.
+    At beta = 2 this is theta * sqrt(num/den) with phi = |p|^2.
+    """
     p2 = np.abs(model.projections(state, X)) ** 2
-
-    for name in ("t", "v", "z", "g"):
-        chi = model.mixture_gain(state)
-        a = p2 / chi**2
-        b = 1.0 / chi
-        if name == "t":
-            w = np.einsum("kn,inm->ikm", z, g, optimize=True)
-            num = np.einsum("ikm,kj,ijm->ik", w, v, a, optimize=True)
-            den = np.einsum("ikm,kj,ijm->ik", w, v, b, optimize=True)
-            arr = t
-        elif name == "v":
-            w = np.einsum("kn,inm->ikm", z, g, optimize=True)
-            num = np.einsum("ik,ikm,ijm->kj", t, w, a, optimize=True)
-            den = np.einsum("ik,ikm,ijm->kj", t, w, b, optimize=True)
-            arr = v
-        elif name == "z":
-            ca = np.einsum("kj,ijm->ikm", v, a, optimize=True)
-            cb = np.einsum("kj,ijm->ikm", v, b, optimize=True)
-            num = np.einsum("ik,ikm,inm->kn", t, ca, g, optimize=True)
-            den = np.einsum("ik,ikm,inm->kn", t, cb, g, optimize=True)
-            arr = z
-        else:
-            sigma = model.compute_source_psd(state.source)
-            num = np.einsum("ijn,ijm->inm", sigma, a, optimize=True)
-            den = np.einsum("ijn,ijm->inm", sigma, b, optimize=True)
-            arr = g
-        factor = np.sqrt(num / den)
-        _check_factor(name, factor)
-        arr *= factor
-        np.maximum(arr, eps, out=arr)
-        if on_phase is not None:
-            on_phase(name, state)
+    _sweep_tvzg(state, p2.transpose(0, 2, 1), None, on_phase)
     return state
 
 
@@ -160,12 +198,20 @@ def update_tvzg_gaussian(state: model.SeparationState, X: np.ndarray, on_phase=N
 # diagonalizer updates
 
 
-def _row_system(Xa, chi, Qa, m, beta):
+def _row_system(p, chi, xx, q, m, beta):
     """Per-bin quantities for the sub-Gaussian update of row m.
 
-    Returns (r, U, B) with shapes (B, J), (B, M, M), (B, M, M); the new
-    row solves (Q B)^{-1} e_m.  Frames with zero energy are masked out
-    of all sums (they contribute nothing to the objective).
+    Takes the current projections p and gains chi (B, M, J), the frame
+    outer products xx (B, J, M^2) and Q (B, M, M).  Returns (U, B, pm2,
+    w2): the new row solves (Q B)^{-1} e_m, and pm2 = |p_m|^2 (floored)
+    and w2 = |p_m|^{beta-2} / r^beta feed the ray-scale step, with r the
+    auxiliary radius.  Frames with zero energy are masked out of all sums
+    (they contribute nothing to the objective).
+
+    With s = sum_m |p_m|^2 / chi_m, r^beta = |p_m|^{beta-2} chi_m
+    s^{1-beta/2}, so both covariance weights need one general power:
+    w1 = 1 / sqrt(|p_m|^{4-beta} r^beta) = sqrt(w2 / |p_m|^2) and
+    w2 = 1 / (chi_m s^{1-beta/2}).
 
     |p_m| is floored at a small fraction of the frame scale
     sqrt(s * chi): a frame whose row-m projection rounds to exactly zero
@@ -176,48 +222,130 @@ def _row_system(Xa, chi, Qa, m, beta):
     consistent; the tangency slack it introduces is second order in the
     floor, far below the descent tolerance.
     """
-    p = np.einsum("imc,ijc->ijm", Qa, Xa, optimize=True)
-    pa = np.abs(p)
-    s = (pa**2 / chi).sum(axis=2)
+    p2 = np.abs(p) ** 2
+    s = model.sum_channels(p2 / chi)
     mask = s > 0
     s_safe = np.where(mask, s, 1.0)
-    cm = chi[:, :, m]
-    pm = np.maximum(pa[:, :, m], PROJ_FLOOR * np.sqrt(s_safe * cm))
-    r = pm ** (1.0 - 2.0 / beta) * cm ** (1.0 / beta) * s_safe ** (
-        1.0 / beta - 0.5
-    )
-    r = np.where(mask, r, 1.0)
-    rb = r**beta
-    w1 = np.where(mask, 1.0 / np.sqrt(pm ** (4.0 - beta) * rb), 0.0)
-    w2 = np.where(mask, pm ** (beta - 2.0) / rb, 0.0)
-    xc = Xa.conj()
-    u = np.einsum("ij,ija,ijb->iab", w1, Xa, xc, optimize=True)
-    q = Qa[:, m, :].conj()
-    uq = np.einsum("iab,ib->ia", u, q, optimize=True)
-    quq = np.einsum("ia,ia->i", q.conj(), uq, optimize=True).real
+    cm = chi[:, m, :]
+    pm2 = np.maximum(p2[:, m, :], PROJ_FLOOR**2 * s_safe * cm)
+    w2 = np.where(mask, 1.0 / (cm * s_safe ** (1.0 - beta / 2.0)), 0.0)
+    w1 = np.sqrt(w2 / pm2)
+    u = _weighted_cov(w1, xx)
+    qm = q[:, m, :].conj()
+    uq = (u @ qm[:, :, None])[:, :, 0]
+    quq = (q[:, m, None, :] @ uq[:, :, None])[:, 0, 0].real
     b = (
         quq[:, None, None] * u
-        + np.einsum("ij,ija,ijb->iab", w2, Xa, xc, optimize=True)
+        + _weighted_cov(w2, xx)
         - uq[:, :, None] * uq.conj()[:, None, :]
     )
-    return r, u, b
+    return u, b, pm2, w2
+
+
+def _scaled_power(p2, pm2, w2, beta):
+    """|p|^beta / r^beta per frame from |p|^2 and _row_system's pm2, w2."""
+    return p2 * (p2 / pm2) ** (beta / 2.0 - 1.0) * w2
 
 
 def row_update_terms(state: model.SeparationState, X: np.ndarray, row: int):
     """Expose (r, U, B) for one diagonalizer row at the current state."""
-    chi = model.mixture_gain(state)
-    r, u, b = _row_system(X, chi, state.spatial.Q, row, state.hyper.beta)
-    return {"r": r, "U": u, "B": b}
-
-
-def _active_bins(X):
-    return np.flatnonzero(np.abs(X).max(axis=(1, 2)) > 0)
+    beta = state.hyper.beta
+    p = state.spatial.Q @ X.transpose(0, 2, 1)
+    u, b, pm2, w2 = _row_system(
+        p, _gain(state), _outer_products(X), state.spatial.Q, row, beta
+    )
+    rb = np.divide(pm2 ** (beta / 2.0 - 1.0), w2, out=np.ones_like(w2), where=w2 > 0)
+    return {"r": rb ** (1.0 / beta), "U": u, "B": b}
 
 
 def _blocks(n, workers):
     workers = max(1, min(workers, n))
     bounds = np.linspace(0, n, workers + 1).astype(int)
     return [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+
+
+def _fan_out(one_row, n_rows, n_active, workers, state, on_phase):
+    """Call one_row(m, lo, hi) over blocks of the active bins, row by row.
+
+    Blocks run on threads when there are several; every block of a row
+    finishes before the next row starts, and the first error raised by
+    any block is re-raised once all of them have finished.
+    """
+    blocks = _blocks(n_active, workers)
+    pool = ThreadPoolExecutor(max_workers=len(blocks)) if len(blocks) > 1 else None
+    try:
+        for m in range(n_rows):
+            if pool is None:
+                one_row(m, *blocks[0])
+            else:
+                futs = [pool.submit(one_row, m, lo, hi) for lo, hi in blocks]
+                errors = [f.exception() for f in futs]
+                for err in errors:
+                    if err is not None:
+                        raise err
+            if on_phase is not None:
+                on_phase(f"q_row_{m}", state)
+    finally:
+        if pool is not None:
+            pool.shutdown()
+
+
+def _solve_row(a, m, bins):
+    """(a)^{-1} e_m per bin; a singular system names its frequency bin."""
+    n_ch = a.shape[-1]
+    rhs = np.broadcast_to(np.eye(n_ch)[m], (a.shape[0], n_ch))
+    try:
+        return linalg.solve(a, rhs)
+    except SingularMatrixError as exc:
+        raise SingularMatrixError(
+            f"diagonalizer row {m}, frequency bin {bins[exc.index]}: {exc}"
+        ) from exc
+
+
+def _require(ok, message, m, bins):
+    """Raise NonFiniteError naming the first bin where `ok` fails."""
+    if not ok.all():
+        idx = int(np.flatnonzero(~ok)[0])
+        raise NonFiniteError(f"{message} (diagonalizer row {m}, frequency bin {bins[idx]})")
+
+
+def _q_rows_subgaussian(state, cache, p, workers=1, on_phase=None, collect=None):
+    """update_q_subgaussian on cached frames; updates the projections p."""
+    beta = state.hyper.beta
+    active = cache.active
+    n_ch, n_frames = cache.x.shape[1:]
+    if collect is not None:
+        collect["post_scale_sum"] = np.full((cache.n_bins, n_ch), np.nan)
+        collect["active"] = active
+    if active.size == 0:
+        return
+    chi = _gain(state, active)
+    q_all = state.spatial.Q
+
+    def one_row(m, lo, hi):
+        sel = active[lo:hi]
+        q = q_all[sel]
+        x = cache.x[lo:hi]
+        u, b, pm2, w2 = _row_system(p[lo:hi], chi[lo:hi], cache.xx[lo:hi], q, m, beta)
+        # the ray-scale step below is invariant to positive rescaling of
+        # the solve direction, so normalizing B per bin costs nothing and
+        # keeps the systems within floating-point range
+        bmax = np.abs(b).reshape(sel.size, -1).max(axis=1)
+        bn = b / bmax[:, None, None] + DIAG_LOAD * np.eye(n_ch)
+        qnew = _solve_row(q @ bn, m, sel)
+        pnew = (qnew.conj()[:, None, :] @ x)[:, 0, :]
+        ssum = _scaled_power(np.abs(pnew) ** 2, pm2, w2, beta).sum(axis=1)
+        scale = (2.0 * n_frames / (beta * ssum)) ** (1.0 / beta)
+        _require(np.isfinite(scale), "diagonalizer row scale is NaN/Inf", m, sel)
+        q_all[sel, m, :] = (qnew * scale[:, None]).conj()
+        p[lo:hi, m, :] = pnew * scale[:, None]
+        if collect is not None:
+            post = (q_all[sel, m, None, :] @ x)[:, 0, :]
+            collect["post_scale_sum"][sel, m] = _scaled_power(
+                np.abs(post) ** 2, pm2, w2, beta
+            ).sum(axis=1)
+
+    _fan_out(one_row, n_ch, active.size, workers, state, on_phase)
 
 
 def update_q_subgaussian(
@@ -235,105 +363,46 @@ def update_q_subgaussian(
     energy are left untouched.  `collect['post_scale_sum']` receives the
     recomputed post-scale sums, `collect['active']` the updated bins.
     """
-    beta = state.hyper.beta
-    n_bins, n_frames, n_ch = X.shape
-    chi = model.mixture_gain(state)
-    q_all = state.spatial.Q
-    active = _active_bins(X)
-    if collect is not None:
-        collect["post_scale_sum"] = np.full((n_bins, n_ch), np.nan)
-        collect["active"] = active
-    if active.size == 0:
-        return state
+    cache = FrameCache(X)
+    p = cache.projections(state.spatial.Q)
+    _q_rows_subgaussian(state, cache, p, workers, on_phase, collect)
+    return state
 
-    ident = np.eye(n_ch)
+
+def _q_rows_gaussian(state, cache, p, workers=1, on_phase=None):
+    """update_q_gaussian on cached frames; updates the projections p."""
+    active = cache.active
+    n_ch, n_frames = cache.x.shape[1:]
+    if active.size == 0:
+        return
+    chi = _gain(state, active)
+    q_all = state.spatial.Q
 
     def one_row(m, lo, hi):
         sel = active[lo:hi]
-        xa = X[sel]
-        r, _, b = _row_system(xa, chi[sel], q_all[sel], m, beta)
-        # the ray-scale step below is invariant to positive rescaling of
-        # the solve direction, so normalizing B per bin costs nothing and
-        # keeps the systems within floating-point range
-        bmax = np.abs(b).reshape(sel.size, -1).max(axis=1)
-        bn = b / bmax[:, None, None] + DIAG_LOAD * np.eye(n_ch)
-        qb = q_all[sel] @ bn
-        qnew = linalg.solve(qb, np.broadcast_to(ident[m], (sel.size, n_ch)))
-        pnew = np.einsum("ic,ijc->ij", qnew.conj(), xa, optimize=True)
-        rb = r**beta
-        ssum = (np.abs(pnew) ** beta / rb).sum(axis=1)
-        scale = (2.0 * n_frames / (beta * ssum)) ** (1.0 / beta)
-        if not np.isfinite(scale).all():
-            raise NonFiniteError("diagonalizer row scale is NaN/Inf")
-        qnew = qnew * scale[:, None]
+        u = _weighted_cov(1.0 / chi[lo:hi, m, :], cache.xx[lo:hi]) / n_frames
+        # solve against a per-bin-normalized, lightly loaded copy for
+        # conditioning; the q^H U q normalization below uses the true U
+        umax = np.abs(u).reshape(sel.size, -1).max(axis=1)
+        un = u / umax[:, None, None] + DIAG_LOAD * np.eye(n_ch)
+        qnew = _solve_row(q_all[sel] @ un, m, sel)
+        quq = (qnew.conj()[:, None, :] @ u @ qnew[:, :, None])[:, 0, 0].real
+        _require(
+            (quq > 0) & np.isfinite(quq), "iterative projection normalizer is not positive", m, sel
+        )
+        qnew = qnew / np.sqrt(quq)[:, None]
         q_all[sel, m, :] = qnew.conj()
-        if collect is not None:
-            post = np.einsum("ic,ijc->ij", qnew.conj(), xa, optimize=True)
-            collect["post_scale_sum"][sel, m] = (np.abs(post) ** beta / rb).sum(axis=1)
+        p[lo:hi, m, :] = (qnew.conj()[:, None, :] @ cache.x[lo:hi])[:, 0, :]
 
-    if workers > 1 and active.size > 1:
-        blocks = _blocks(active.size, workers)
-        with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-            for m in range(n_ch):
-                futs = [pool.submit(one_row, m, lo, hi) for lo, hi in blocks]
-                for f in futs:
-                    f.result()
-                if on_phase is not None:
-                    on_phase(f"q_row_{m}", state)
-    else:
-        for m in range(n_ch):
-            one_row(m, 0, active.size)
-            if on_phase is not None:
-                on_phase(f"q_row_{m}", state)
-    return state
+    _fan_out(one_row, n_ch, active.size, workers, state, on_phase)
 
 
 def update_q_gaussian(
     state: model.SeparationState, X: np.ndarray, workers: int = 1, on_phase=None
 ):
     """Standard iterative-projection row update for the Gaussian model."""
-    n_bins, n_frames, n_ch = X.shape
-    chi = model.mixture_gain(state)
-    q_all = state.spatial.Q
-    active = _active_bins(X)
-    if active.size == 0:
-        return state
-
-    ident = np.eye(n_ch)
-
-    def one_row(m, lo, hi):
-        sel = active[lo:hi]
-        xa = X[sel]
-        w = 1.0 / chi[sel, :, m]
-        u = np.einsum("ij,ija,ijb->iab", w, xa, xa.conj(), optimize=True) / n_frames
-        # solve against a per-bin-normalized, lightly loaded copy for
-        # conditioning; the q^H U q normalization below uses the true U
-        umax = np.abs(u).reshape(sel.size, -1).max(axis=1)
-        un = u / umax[:, None, None] + DIAG_LOAD * np.eye(n_ch)
-        qu = q_all[sel] @ un
-        qnew = linalg.solve(qu, np.broadcast_to(ident[m], (sel.size, n_ch)))
-        quq = np.einsum(
-            "ia,iab,ib->i", qnew.conj(), u, qnew, optimize=True
-        ).real
-        if (quq <= 0).any() or not np.isfinite(quq).all():
-            raise NonFiniteError("iterative projection normalizer is not positive")
-        qnew = qnew / np.sqrt(quq)[:, None]
-        q_all[sel, m, :] = qnew.conj()
-
-    if workers > 1 and active.size > 1:
-        blocks = _blocks(active.size, workers)
-        with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-            for m in range(n_ch):
-                futs = [pool.submit(one_row, m, lo, hi) for lo, hi in blocks]
-                for f in futs:
-                    f.result()
-                if on_phase is not None:
-                    on_phase(f"q_row_{m}", state)
-    else:
-        for m in range(n_ch):
-            one_row(m, 0, active.size)
-            if on_phase is not None:
-                on_phase(f"q_row_{m}", state)
+    cache = FrameCache(X)
+    _q_rows_gaussian(state, cache, cache.projections(state.spatial.Q), workers, on_phase)
     return state
 
 
@@ -389,22 +458,23 @@ def run(
         state.hyper = hyper
         state.validate()
     trace = objective.CostTrace()
-    gaussian = state.hyper.algorithm == "gaussian"
     iters = state.hyper.iterations
-    cost_before = objective.current_cost(state, X) if iters > 0 else None
+    if iters == 0:
+        return state, trace
+    beta = state.hyper.beta
+    update_q = _q_rows_gaussian if state.hyper.algorithm == "gaussian" else _q_rows_subgaussian
+    cache = FrameCache(X)
+    p = cache.projections(state.spatial.Q)
+    p2 = cache.power(p)
+    chi = _gain(state)
+    cost_before = objective.jd_cost(state.spatial.Q, p2, chi, beta)
     for it in range(1, iters + 1):
         phase_ms = {}
         t0 = time.perf_counter()
-        if gaussian:
-            update_tvzg_gaussian(state, X, on_phase=on_subupdate)
-        else:
-            update_tvzg(state, X, on_phase=on_subupdate)
+        _sweep_tvzg(state, p2, chi, on_subupdate)
         t1 = time.perf_counter()
         phase_ms["tvzg"] = (t1 - t0) * 1000.0
-        if gaussian:
-            update_q_gaussian(state, X, workers=workers, on_phase=on_subupdate)
-        else:
-            update_q_subgaussian(state, X, workers=workers, on_phase=on_subupdate)
+        update_q(state, cache, p, workers, on_subupdate)
         t2 = time.perf_counter()
         phase_ms["q"] = (t2 - t1) * 1000.0
         normalize_and_rescale(state)
@@ -412,7 +482,12 @@ def run(
             on_subupdate("normalize", state)
         t3 = time.perf_counter()
         phase_ms["normalize"] = (t3 - t2) * 1000.0
-        cost = objective.current_cost(state, X)
+        # Q is final for this iteration and normalization leaves chi as
+        # the next t family would compute it: both serve the cost and
+        # the next sweep
+        p2 = cache.power(p)
+        chi = _gain(state)
+        cost = objective.jd_cost(state.spatial.Q, p2, chi, beta)
         ms = (time.perf_counter() - t0) * 1000.0
         trace.append(it, cost, ms)
         if on_iteration is not None:

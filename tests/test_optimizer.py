@@ -106,7 +106,7 @@ class TestMultiplicativeRules:
             if name == "t" and not first:
                 first["t"] = state.source.T.copy()
 
-        optimizer.update_tvzg_gaussian(st, X, on_phase=grab)
+        optimizer.update_tvzg(st, X, on_phase=grab)
         np.testing.assert_allclose(first["t"], want, rtol=1e-10)
 
     def test_workspace_shapes(self):
