@@ -109,10 +109,10 @@ def parse_config(doc: dict) -> RunConfig:
     )
     default_beta = 2.0 if algorithm == "gaussian" else 4.0
     beta = _get_number(doc, "beta", default_beta)
-    if algorithm == "subgaussian" and not (2.0 < beta <= 4.0):
-        raise ConfigError("beta", f"subgaussian requires 2 < beta <= 4, got {beta}")
-    if algorithm == "gaussian" and beta != 2.0:
-        raise ConfigError("beta", f"gaussian fixes beta = 2, got {beta}")
+    try:
+        Hyperparams(algorithm=algorithm, beta=beta)
+    except ValueError as exc:
+        raise ConfigError("beta", str(exc)) from exc
 
     stft_doc = doc.get("stft", {})
     if not isinstance(stft_doc, dict):

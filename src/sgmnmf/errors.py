@@ -6,7 +6,7 @@ class SgmnmfError(Exception):
 
 
 class SingularMatrixError(SgmnmfError):
-    """A matrix is numerically singular (pivot below the relative threshold).
+    """A matrix is numerically singular: |det| <= linalg.RTOL x the product of its column norms.
 
     `index` is the offending matrix's position in the flattened batch,
     when the raiser knows it.

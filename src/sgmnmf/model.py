@@ -39,7 +39,7 @@ class Hyperparams:
         if self.algorithm == "subgaussian" and not (2.0 < self.beta <= 4.0):
             raise ValueError(f"subgaussian path requires 2 < beta <= 4, got {self.beta}")
         if self.algorithm == "gaussian" and self.beta != 2.0:
-            raise ValueError("gaussian path fixes beta = 2")
+            raise ValueError(f"gaussian path fixes beta = 2, got {self.beta}")
         if self.floor_eps <= 0:
             raise ValueError("floor_eps must be positive")
         if self.n_sources < 1 or self.n_bases < 1:
@@ -188,7 +188,8 @@ def full_rank_scm(state: SeparationState) -> np.ndarray:
 
     G_in = Q_i^{-1} diag(g_in.) Q_i^{-H}; each result is Hermitian PSD.
     """
-    q_inv = linalg.invert(state.spatial.Q)
+    q = state.spatial.Q
+    q_inv = linalg.solve(q, np.broadcast_to(np.eye(q.shape[-1]), q.shape))
     return np.einsum(
         "iab,inb,icb->inac", q_inv, state.spatial.G, q_inv.conj(), optimize=True
     )
@@ -249,8 +250,9 @@ def save_state(state: SeparationState, path):
             "q": _pack(state.spatial.Q),
         },
     }
+    # json.dump streams through the pure-Python encoder; dumps uses the C one
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))
 
 
 def load_state(path) -> SeparationState:

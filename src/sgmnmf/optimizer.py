@@ -41,34 +41,6 @@ def _phi(p2, chi, beta):
     return p2 * y ** ((beta - 2.0) / 2.0)
 
 
-@dataclass
-class UpdateWorkspace:
-    """Current-state quantities the update rules are built from.
-
-    projections p_ijm = q_im^H x_ij, the gains chi, the contrast
-    weights phi, and the row-update radii r (all I x J x M).
-    """
-
-    projections: np.ndarray
-    chi: np.ndarray
-    phi: np.ndarray
-    r: np.ndarray
-
-
-def workspace(state: model.SeparationState, X: np.ndarray) -> UpdateWorkspace:
-    beta = state.hyper.beta
-    p = model.projections(state, X)
-    chi = model.mixture_gain(state)
-    p2 = np.abs(p) ** 2
-    s = (p2 / chi).sum(axis=2, keepdims=True)
-    s_safe = np.where(s > 0, s, 1.0)
-    pa = np.maximum(np.abs(p), PROJ_FLOOR * np.sqrt(s_safe * chi))
-    r = pa ** (1.0 - 2.0 / beta) * chi ** (1.0 / beta) * s_safe ** (1.0 / beta - 0.5)
-    r = np.where(s > 0, r, 1.0)
-    phi = _phi(p2.transpose(0, 2, 1), chi.transpose(0, 2, 1), beta).transpose(0, 2, 1)
-    return UpdateWorkspace(projections=p, chi=chi, phi=phi, r=r)
-
-
 def _gain(state, bins=slice(None)):
     """chi over the given bins, channel-major."""
     src = state.source

@@ -29,8 +29,8 @@ class SeparatedSources:
 def wiener_separate(state: model.SeparationState, X: np.ndarray) -> SeparatedSources:
     """shat_ijn = Q_i^{-1} D_ijn Q_i x_ij with D the diagonal share matrix.
 
-    D_ijn = diag_m(sigma_ijn g_inm / chi_ijm); one LU factorization of
-    each Q_i serves every (frame, source) right-hand side.
+    D_ijn = diag_m(sigma_ijn g_inm / chi_ijm); one solve per Q_i serves
+    every (frame, source) right-hand side.
     """
     n_bins, n_frames, n_ch = X.shape
     n_src = state.hyper.n_sources
@@ -43,9 +43,8 @@ def wiener_separate(state: model.SeparationState, X: np.ndarray) -> SeparatedSou
         / chi[:, :, None, :]
     )
     weighted = share * p[:, :, None, :]
-    lu, piv = linalg.lu_factor(state.spatial.Q)
     rhs = weighted.transpose(0, 3, 1, 2).reshape(n_bins, n_ch, n_frames * n_src)
-    sol = linalg.lu_solve(lu, piv, rhs)
+    sol = linalg.solve(state.spatial.Q, rhs)
     spectra = (
         sol.reshape(n_bins, n_ch, n_frames, n_src).transpose(3, 0, 2, 1).copy()
     )

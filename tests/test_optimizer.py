@@ -109,16 +109,6 @@ class TestMultiplicativeRules:
         optimizer.update_tvzg(st, X, on_phase=grab)
         np.testing.assert_allclose(first["t"], want, rtol=1e-10)
 
-    def test_workspace_shapes(self):
-        rng = np.random.default_rng(113)
-        st = helpers.random_state(rng, n_bins=3, n_frames=5, n_channels=2)
-        X = helpers.random_mixture(rng, 3, 5, 2)
-        ws = optimizer.workspace(st, X)
-        for arr in (ws.projections, ws.chi, ws.phi, ws.r):
-            assert arr.shape == (3, 5, 2)
-        assert ws.chi.min() > 0
-        assert ws.r.min() > 0
-
 
 class TestDiagonalizerUpdates:
     def test_post_scale_identity(self):
