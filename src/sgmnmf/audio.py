@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (
     CorruptHeaderError,
     EmptyInputError,
+    NonFiniteError,
     ShapeMismatchError,
     UnsupportedFormatError,
 )
@@ -148,7 +149,11 @@ _FMT_FLOAT = 3
 
 
 def read_wav(path) -> Waveform:
-    """Read a PCM16 or float32 WAV file; samples scaled to [-1, 1) for PCM16."""
+    """Read a PCM16 or float32 WAV file; samples scaled to [-1, 1) for PCM16.
+
+    A NaN or Inf sample raises NonFiniteError naming its channel and
+    sample index.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
@@ -183,7 +188,15 @@ def read_wav(path) -> Waveform:
             f"{path}: format {audio_format} with {bits} bits not supported"
         )
     n = samples.size // n_ch
-    return Waveform(sample_rate, samples[: n * n_ch].reshape(n, n_ch))
+    data = samples[: n * n_ch].reshape(n, n_ch)
+    finite = np.isfinite(data)
+    if not finite.all():
+        sample, channel = np.argwhere(~finite)[0]
+        raise NonFiniteError(
+            f"{path}: non-finite value {data[sample, channel]} at channel {channel}, "
+            f"sample {sample}"
+        )
+    return Waveform(sample_rate, data)
 
 
 def write_wav(path, wave: Waveform):

@@ -38,7 +38,7 @@ class CorruptHeaderError(SgmnmfError):
 
 
 class NonFiniteError(SgmnmfError):
-    """A computation produced NaN/Inf, signalling upstream underflow."""
+    """An input sample or a computed value is NaN/Inf."""
 
 
 class InvalidAuxiliaryError(SgmnmfError):

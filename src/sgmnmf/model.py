@@ -222,9 +222,11 @@ def _pack(arr):
 def _unpack(doc):
     shape = tuple(doc["shape"])
     if "real" in doc:
-        arr = np.asarray(doc["real"], dtype=np.float64) + 1j * np.asarray(
-            doc["imag"], dtype=np.float64
-        )
+        # assigned part by part: real + 1j * imag would turn an
+        # imaginary -0.0 into +0.0
+        arr = np.empty(len(doc["real"]), dtype=np.complex128)
+        arr.real = doc["real"]
+        arr.imag = doc["imag"]
         return arr.reshape(shape)
     return np.asarray(doc["data"], dtype=np.float64).reshape(shape)
 

@@ -424,7 +424,9 @@ def run(
     fires after every sub-update ('t', 'v', 'z', 'g', 'q_row_<m>',
     'normalize'); on_iteration(report) after each full iteration.
     `workers` only splits the frequency axis, so results are independent
-    of the worker count.
+    of the worker count.  A NonFiniteError or SingularMatrixError raised
+    by an iteration is re-raised as the same type, prefixed with
+    "iteration N: ".
     """
     if hyper is not None:
         state.hyper = hyper
@@ -443,23 +445,28 @@ def run(
     for it in range(1, iters + 1):
         phase_ms = {}
         t0 = time.perf_counter()
-        _sweep_tvzg(state, p2, chi, on_subupdate)
-        t1 = time.perf_counter()
-        phase_ms["tvzg"] = (t1 - t0) * 1000.0
-        update_q(state, cache, p, workers, on_subupdate)
-        t2 = time.perf_counter()
-        phase_ms["q"] = (t2 - t1) * 1000.0
-        normalize_and_rescale(state)
-        if on_subupdate is not None:
-            on_subupdate("normalize", state)
-        t3 = time.perf_counter()
-        phase_ms["normalize"] = (t3 - t2) * 1000.0
-        # Q is final for this iteration and normalization leaves chi as
-        # the next t family would compute it: both serve the cost and
-        # the next sweep
-        p2 = cache.power(p)
-        chi = _gain(state)
-        cost = objective.jd_cost(state.spatial.Q, p2, chi, beta)
+        try:
+            _sweep_tvzg(state, p2, chi, on_subupdate)
+            t1 = time.perf_counter()
+            phase_ms["tvzg"] = (t1 - t0) * 1000.0
+            update_q(state, cache, p, workers, on_subupdate)
+            t2 = time.perf_counter()
+            phase_ms["q"] = (t2 - t1) * 1000.0
+            normalize_and_rescale(state)
+            if on_subupdate is not None:
+                on_subupdate("normalize", state)
+            t3 = time.perf_counter()
+            phase_ms["normalize"] = (t3 - t2) * 1000.0
+            # Q is final for this iteration and normalization leaves chi
+            # as the next t family would compute it: both serve the cost
+            # and the next sweep
+            p2 = cache.power(p)
+            chi = _gain(state)
+            cost = objective.jd_cost(state.spatial.Q, p2, chi, beta)
+        except SingularMatrixError as exc:
+            raise SingularMatrixError(f"iteration {it}: {exc}", exc.index) from exc
+        except NonFiniteError as exc:
+            raise NonFiniteError(f"iteration {it}: {exc}") from exc
         ms = (time.perf_counter() - t0) * 1000.0
         trace.append(it, cost, ms)
         if on_iteration is not None:

@@ -9,6 +9,7 @@ from sgmnmf import audio
 from sgmnmf.errors import (
     CorruptHeaderError,
     EmptyInputError,
+    NonFiniteError,
     ShapeMismatchError,
     UnsupportedFormatError,
 )
@@ -148,6 +149,27 @@ class TestWavIo:
         path = tmp_path / "mulaw.wav"
         path.write_bytes(header)
         with pytest.raises(UnsupportedFormatError):
+            audio.read_wav(path)
+
+    def test_non_finite_sample_names_channel_and_index(self, tmp_path):
+        data = np.zeros((50, 3), dtype=np.float32)
+        data[17, 2] = np.nan
+        data[30, 0] = np.inf  # later in file order: the first bad sample is reported
+        payload = data.astype("<f4").tobytes()
+        header = b"".join(
+            [
+                b"RIFF",
+                struct.pack("<I", 36 + len(payload)),
+                b"WAVE",
+                b"fmt ",
+                struct.pack("<IHHIIHH", 16, 3, 3, 8000, 96000, 12, 32),
+                b"data",
+                struct.pack("<I", len(payload)),
+            ]
+        )
+        path = tmp_path / "nan.wav"
+        path.write_bytes(header + payload)
+        with pytest.raises(NonFiniteError, match=r"nan\.wav: .*channel 2, sample 17\b"):
             audio.read_wav(path)
 
 

@@ -264,6 +264,20 @@ class TestPipeline:
         assert rc == 1
         assert ">= 2 channels" in capsys.readouterr().err
 
+    def test_non_finite_mixture_is_an_error(self, tmp_path, capsys):
+        data = np.zeros((1000, 2))
+        data[123, 1] = np.nan
+        mix = tmp_path / "nan.wav"
+        audio.write_wav(mix, audio.Waveform(16000, data))
+        out = tmp_path / "o"
+        run_doc = {"iterations": 1, "paths": {"mixture": str(mix), "out": str(out)}}
+        run_path = tmp_path / "run.json"
+        run_path.write_text(json.dumps(run_doc))
+        rc = cli.main(["separate", "--config", str(run_path)])
+        assert rc == 1
+        assert "nan.wav: non-finite value nan at channel 1, sample 123" in capsys.readouterr().err
+        assert not (out / "state.json").exists()
+
     def test_missing_config_file_is_an_error(self, tmp_path, capsys):
         rc = cli.main(["separate", "--config", str(tmp_path / "nope.json")])
         assert rc == 1

@@ -177,6 +177,17 @@ class TestPersistence:
         np.testing.assert_array_equal(back.spatial.G, st.spatial.G)
         np.testing.assert_array_equal(back.spatial.Q, st.spatial.Q)
 
+    def test_negative_zero_survives_save_load_save(self, tmp_path):
+        rng = np.random.default_rng(22)
+        st = helpers.random_state(rng, n_bins=4, n_frames=5, n_channels=2)
+        st.spatial.Q[0, 0, 0] = complex(0.5, -0.0)
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        model.save_state(st, first)
+        back = model.load_state(first)
+        assert np.signbit(back.spatial.Q[0, 0, 0].imag)
+        model.save_state(back, second)
+        assert first.read_bytes() == second.read_bytes()
+
     def test_rejects_wrong_format_tag(self, tmp_path):
         path = tmp_path / "bogus.json"
         path.write_text('{"format": "something-else"}')

@@ -5,7 +5,7 @@ import pytest
 
 import helpers
 from sgmnmf import model, objective, optimizer
-from sgmnmf.errors import DimensionMismatchError
+from sgmnmf.errors import DimensionMismatchError, SingularMatrixError
 
 
 class TestSubupdateDescent:
@@ -233,6 +233,43 @@ class TestRun:
         assert np.isfinite(out.source.T).all()
         assert np.isfinite(trace.costs).all()
         np.testing.assert_array_equal(out.spatial.Q, q0)
+
+    def test_row_failure_names_iteration(self, monkeypatch):
+        # two row solves per iteration at M = 2: the third is iteration 2, row 0
+        calls = []
+        real = optimizer.linalg.solve
+
+        def solve(a, b):
+            calls.append(None)
+            if len(calls) == 3:
+                raise SingularMatrixError("singular at batch index 0", index=0)
+            return real(a, b)
+
+        monkeypatch.setattr(optimizer.linalg, "solve", solve)
+        rng = np.random.default_rng(146)
+        st = helpers.random_state(rng, iterations=3)
+        with pytest.raises(SingularMatrixError) as info:
+            optimizer.run(st, helpers.random_mixture(rng))
+        assert str(info.value).startswith("iteration 2: diagonalizer row 0, frequency bin 0:")
+        assert isinstance(info.value.__cause__, SingularMatrixError)
+
+    def test_cost_failure_names_iteration_and_keeps_index(self, monkeypatch):
+        # the first log-determinant is the cost before iteration 1
+        calls = []
+        real = optimizer.linalg.log_abs_det
+
+        def log_abs_det(a):
+            calls.append(None)
+            if len(calls) == 2:
+                raise SingularMatrixError("singular at batch index 4", index=4)
+            return real(a)
+
+        monkeypatch.setattr(optimizer.linalg, "log_abs_det", log_abs_det)
+        rng = np.random.default_rng(147)
+        st = helpers.random_state(rng, iterations=2)
+        with pytest.raises(SingularMatrixError, match=r"^iteration 1: singular") as info:
+            optimizer.run(st, helpers.random_mixture(rng))
+        assert info.value.index == 4
 
 
 class TestFixedPoint:

@@ -1,5 +1,9 @@
 """Source generators, synthetic room filters, and convolutive mixing."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -154,6 +158,26 @@ class TestMix:
         want = fftconvolve(dry, bundle.rirs[1, 0])[:8000]
         np.testing.assert_allclose(bundle.images[1].channel(0), want, atol=1e-12)
 
+    @pytest.mark.parametrize("n_src,n_mic,length,seed", [(2, 2, 32000, 0), (3, 3, 16000, 1009)])
+    def test_images_are_scipy_fftconvolve_bit_for_bit(self, n_src, n_mic, length, seed):
+        # scipy is the oracle: the images must be its bits, not close to them
+        from scipy.signal import fftconvolve
+
+        spec = simulate.RoomSpec(n_sources=n_src, n_mics=n_mic, seed=seed)
+        rirs = simulate.synth_rir(spec)
+        dries = [
+            simulate.gen_subgaussian_source(length, "am_tone", seed=[seed, n])
+            for n in range(n_src)
+        ]
+        bundle = simulate.mix(dries, rirs)
+        for n in range(n_src):
+            dry = dries[n].channel(0)
+            want = np.stack(
+                [fftconvolve(dry, rirs[n, m])[:length] for m in range(n_mic)], axis=1
+            )
+            want *= 1.0 / np.sqrt(np.mean(want[:, 0] ** 2))
+            assert np.array_equal(bundle.images[n].data, want)
+
     def test_images_have_genuinely_multichannel_structure(self):
         # spatial covariance of each image must be far from rank one:
         # reverberant images are full-rank, which is what the full-rank
@@ -184,3 +208,32 @@ class TestMix:
         ]
         with pytest.raises(DimensionMismatchError):
             simulate.mix(dries, simulate.synth_rir(spec))
+
+
+class TestFftLength:
+    def test_matches_scipy_next_fast_len(self):
+        from scipy.fft import next_fast_len
+
+        got = [simulate._fft_len(n) for n in range(1, 70001)]
+        want = [next_fast_len(n, True) for n in range(1, 70001)]
+        assert got == want
+
+    def test_operating_point(self):
+        # 2 s at 16 kHz convolved with a 4800-tap filter
+        assert simulate._fft_len(32000 + 4800 - 1) == 36864
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (
+        "import sys, sgmnmf.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert res.stdout.strip() == "[]"
