@@ -72,14 +72,14 @@ def cmd_simulate(spec_path, out_dir):
 def cmd_separate(cfg: config.RunConfig, workers: int = 1):
     if cfg.mixture is None:
         raise SgmnmfError("paths.mixture: required for separate")
-    out_dir = cfg.out if cfg.out is not None else "."
-    os.makedirs(out_dir, exist_ok=True)
-
     wave = audio.read_wav(cfg.mixture)
     if wave.n_channels < 2:
         raise DimensionMismatchError(
             f"{cfg.mixture}: separation needs >= 2 channels, got {wave.n_channels}"
         )
+    # a rejected mixture leaves no directory; an unwritable one fails before the run
+    out_dir = cfg.out if cfg.out is not None else "."
+    os.makedirs(out_dir, exist_ok=True)
     stft_cfg = cfg.stft_config(wave.sample_rate)
     spec = audio.stft(wave, stft_cfg)
     n_bins, n_frames, n_ch = spec.shape

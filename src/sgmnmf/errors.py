@@ -8,8 +8,8 @@ class SgmnmfError(Exception):
 class SingularMatrixError(SgmnmfError):
     """A matrix is numerically singular: |det| <= linalg.RTOL x the product of its column norms.
 
-    `index` is the offending matrix's position in the flattened batch,
-    when the raiser knows it.
+    `index` is the offending matrix's position in the flattened batch, or
+    its frequency bin in errors from the optimizer; None when unknown.
     """
 
     def __init__(self, message, index=None):

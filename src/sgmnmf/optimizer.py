@@ -11,10 +11,10 @@ the general rule is the square-root rule bit for bit; only its
 diagonalizer rule (iterative projection) is separate.
 
 `run` computes what X alone determines once per run (FrameCache) and
-carries the projections p = Q x and the gains chi from one sub-update
-to the next, so each step recomputes only what the previous one
-changed.  Arrays over (bin, channel, frame) use model's channel-major
-layout (I, M, J).
+carries the projection powers p2 = |Q x|^2 and the gains chi from one
+sub-update to the next, so each step recomputes only what the previous
+one changed.  Arrays over (bin, channel, frame) use model's
+channel-major layout (I, M, J).
 """
 
 import time
@@ -35,12 +35,6 @@ PROJ_FLOOR = 1e-8
 DIAG_LOAD = 1e-14
 
 
-def _phi(p2, chi, beta):
-    """Contrast weights phi_imj; reduces to |p|^2 at beta = 2."""
-    y = model.sum_channels(p2 / chi)[..., None, :]
-    return p2 * y ** ((beta - 2.0) / 2.0)
-
-
 def _gain(state, bins=slice(None)):
     """chi over the given bins, channel-major."""
     src = state.source
@@ -59,7 +53,7 @@ class FrameCache:
     """What the diagonalizer rules need from X, built once per run.
 
     active: bins with a nonzero frame (silent bins keep their Q_i);
-    x: X[active] channel-major, (A, M, J);
+    x: X[active] channel-major, (A, M, J), whose |Q x|^2 the rules carry;
     xx: the frame outer products of X[active], (A, J, M^2), so each
     weighted covariance sum_j w_j x_j x_j^H is one matmul.
     """
@@ -71,27 +65,38 @@ class FrameCache:
         self.x = np.ascontiguousarray(xa.transpose(0, 2, 1))
         self.xx = _outer_products(xa)
 
-    def projections(self, q):
-        """p = Q x over the active bins, (A, M, J)."""
+    def projection_powers(self, q):
+        """|Q x|^2 over the active bins, (A, M, J)."""
         if q.shape[0] != self.n_bins or q.shape[1] != self.x.shape[1]:
             raise DimensionMismatchError(
                 f"spectrogram with {self.n_bins} bins x {self.x.shape[1]} channels "
                 f"incompatible with Q {q.shape}"
             )
-        return q[self.active] @ self.x
+        return np.abs(q[self.active] @ self.x) ** 2
 
-    def power(self, p):
-        """|p|^2 over all bins, (I, M, J); silent bins project to zero."""
-        p2 = np.zeros((self.n_bins,) + p.shape[1:])
-        p2[self.active] = np.abs(p) ** 2
-        return p2
+    def power(self, p2):
+        """The active bins' |p|^2 spread over all bins, (I, M, J); silent bins are zero."""
+        out = np.zeros((self.n_bins,) + p2.shape[1:])
+        out[self.active] = p2
+        return out
 
 
 def _weighted_cov(w, xx):
-    """sum_j w_ij x_ij x_ij^H for real weights w (B, J), shape (B, M, M)."""
+    """sum_j w_ij x_ij x_ij^H, (B, [S,] M, M), for real weights w (B, [S,] J)."""
     n_ch = int(round(np.sqrt(xx.shape[2])))
-    u = w[:, None, :] @ xx.view(np.float64)
-    return u.view(np.complex128).reshape(-1, n_ch, n_ch)
+    u = w.reshape(w.shape[0], -1, w.shape[-1]) @ xx.view(np.float64)
+    return u.view(np.complex128).reshape(w.shape[:-1] + (n_ch, n_ch))
+
+
+def _mat_mul(a, b):
+    """a @ b on stacks of tiny matrices, adding over the inner index in order.
+
+    numpy's stacked matmul makes one BLAS call per matrix: several times slower.
+    """
+    out = a[..., :, 0, None] * b[..., None, 0, :]
+    for k in range(1, a.shape[-1]):
+        out += a[..., :, k, None] * b[..., None, k, :]
+    return out
 
 
 def _check_factor(name, factor):
@@ -102,16 +107,19 @@ def _check_factor(name, factor):
 def _family_sums(name, state, p2, chi):
     """(num, den) of one multiplicative family at the current state.
 
-    p2 = |p|^2 and chi are channel-major.  Both sums come from one matmul
-    over the stack [phi / chi^2, 1 / chi].
+    p2 = |p|^2 and chi are channel-major.  One matmul gives both sums over
+    the stack [p2 y^{beta/2-1} / chi^2, 1 / chi], y = sum_m p2_m / chi_m.
     """
     t, v, z = state.source.T, state.source.V, state.source.Z
     g = state.spatial.G
     n_bins, n_ch, n_frames = p2.shape
     n_bases, n_src = z.shape
     ab = np.empty((2, n_bins, n_ch, n_frames))
-    np.divide(_phi(p2, chi, state.hyper.beta), chi**2, out=ab[0])
     np.divide(1.0, chi, out=ab[1])
+    np.multiply(p2, ab[1], out=ab[0])
+    y = model.sum_channels(ab[0])
+    ab[0] *= (y ** (state.hyper.beta / 2.0 - 1.0))[:, None, :]
+    ab[0] *= ab[1]
     if name in ("t", "v"):
         zg = g.transpose(0, 2, 1) @ z.T  # sum_n z_kn g_inm, (I, M, K)
     if name == "v":
@@ -170,15 +178,15 @@ def update_tvzg(state: model.SeparationState, X: np.ndarray, on_phase=None):
 # diagonalizer updates
 
 
-def _row_system(p, chi, xx, q, m, beta):
+def _row_system(p2, chi, xx, q, m, beta):
     """Per-bin quantities for the sub-Gaussian update of row m.
 
-    Takes the current projections p and gains chi (B, M, J), the frame
-    outer products xx (B, J, M^2) and Q (B, M, M).  Returns (U, B, pm2,
-    w2): the new row solves (Q B)^{-1} e_m, and pm2 = |p_m|^2 (floored)
-    and w2 = |p_m|^{beta-2} / r^beta feed the ray-scale step, with r the
-    auxiliary radius.  Frames with zero energy are masked out of all sums
-    (they contribute nothing to the objective).
+    Takes the projection powers p2 = |p|^2 and gains chi (B, M, J), the
+    frame outer products xx (B, J, M^2) and Q (B, M, M).  Returns (U, B,
+    pm2, w2): the new row solves (Q B)^{-1} e_m, and pm2 = |p_m|^2
+    (floored) and w2 = |p_m|^{beta-2} / r^beta feed the ray-scale step,
+    with r the auxiliary radius.  Frames with zero energy are masked out
+    of all sums (they contribute nothing to the objective).
 
     With s = sum_m |p_m|^2 / chi_m, r^beta = |p_m|^{beta-2} chi_m
     s^{1-beta/2}, so both covariance weights need one general power:
@@ -194,23 +202,17 @@ def _row_system(p, chi, xx, q, m, beta):
     consistent; the tangency slack it introduces is second order in the
     floor, far below the descent tolerance.
     """
-    p2 = np.abs(p) ** 2
     s = model.sum_channels(p2 / chi)
     mask = s > 0
     s_safe = np.where(mask, s, 1.0)
     cm = chi[:, m, :]
     pm2 = np.maximum(p2[:, m, :], PROJ_FLOOR**2 * s_safe * cm)
     w2 = np.where(mask, 1.0 / (cm * s_safe ** (1.0 - beta / 2.0)), 0.0)
-    w1 = np.sqrt(w2 / pm2)
-    u = _weighted_cov(w1, xx)
-    qm = q[:, m, :].conj()
-    uq = (u @ qm[:, :, None])[:, :, 0]
-    quq = (q[:, m, None, :] @ uq[:, :, None])[:, 0, 0].real
-    b = (
-        quq[:, None, None] * u
-        + _weighted_cov(w2, xx)
-        - uq[:, :, None] * uq.conj()[:, None, :]
-    )
+    cov = _weighted_cov(np.stack([np.sqrt(w2 / pm2), w2]).transpose(1, 0, 2), xx)
+    u = cov[:, 0]
+    uq = _mat_mul(u, q[:, m, :, None].conj())
+    quq = _mat_mul(q[:, m, None, :], uq)[:, 0, 0].real
+    b = quq[:, None, None] * u + cov[:, 1] - uq * uq.conj().transpose(0, 2, 1)
     return u, b, pm2, w2
 
 
@@ -222,10 +224,8 @@ def _scaled_power(p2, pm2, w2, beta):
 def row_update_terms(state: model.SeparationState, X: np.ndarray, row: int):
     """Expose (r, U, B) for one diagonalizer row at the current state."""
     beta = state.hyper.beta
-    p = state.spatial.Q @ X.transpose(0, 2, 1)
-    u, b, pm2, w2 = _row_system(
-        p, _gain(state), _outer_products(X), state.spatial.Q, row, beta
-    )
+    p2 = np.abs(state.spatial.Q @ X.transpose(0, 2, 1)) ** 2
+    u, b, pm2, w2 = _row_system(p2, _gain(state), _outer_products(X), state.spatial.Q, row, beta)
     rb = np.divide(pm2 ** (beta / 2.0 - 1.0), w2, out=np.ones_like(w2), where=w2 > 0)
     return {"r": rb ** (1.0 / beta), "U": u, "B": b}
 
@@ -270,7 +270,7 @@ def _solve_row(a, m, bins):
         return linalg.solve(a, rhs)
     except SingularMatrixError as exc:
         raise SingularMatrixError(
-            f"diagonalizer row {m}, frequency bin {bins[exc.index]}: {exc}"
+            f"diagonalizer row {m}, frequency bin {bins[exc.index]}: {exc}", int(bins[exc.index])
         ) from exc
 
 
@@ -281,8 +281,8 @@ def _require(ok, message, m, bins):
         raise NonFiniteError(f"{message} (diagonalizer row {m}, frequency bin {bins[idx]})")
 
 
-def _q_rows_subgaussian(state, cache, p, workers=1, on_phase=None, collect=None):
-    """update_q_subgaussian on cached frames; updates the projections p."""
+def _q_rows_subgaussian(state, cache, p2, workers=1, on_phase=None, collect=None):
+    """update_q_subgaussian on cached frames; updates the projection powers p2."""
     beta = state.hyper.beta
     active = cache.active
     n_ch, n_frames = cache.x.shape[1:]
@@ -298,19 +298,19 @@ def _q_rows_subgaussian(state, cache, p, workers=1, on_phase=None, collect=None)
         sel = active[lo:hi]
         q = q_all[sel]
         x = cache.x[lo:hi]
-        u, b, pm2, w2 = _row_system(p[lo:hi], chi[lo:hi], cache.xx[lo:hi], q, m, beta)
+        u, b, pm2, w2 = _row_system(p2[lo:hi], chi[lo:hi], cache.xx[lo:hi], q, m, beta)
         # the ray-scale step below is invariant to positive rescaling of
         # the solve direction, so normalizing B per bin costs nothing and
         # keeps the systems within floating-point range
         bmax = np.abs(b).reshape(sel.size, -1).max(axis=1)
         bn = b / bmax[:, None, None] + DIAG_LOAD * np.eye(n_ch)
-        qnew = _solve_row(q @ bn, m, sel)
-        pnew = (qnew.conj()[:, None, :] @ x)[:, 0, :]
-        ssum = _scaled_power(np.abs(pnew) ** 2, pm2, w2, beta).sum(axis=1)
+        qnew = _solve_row(_mat_mul(q, bn), m, sel)
+        pnew2 = np.abs((qnew.conj()[:, None, :] @ x)[:, 0, :]) ** 2
+        ssum = _scaled_power(pnew2, pm2, w2, beta).sum(axis=1)
         scale = (2.0 * n_frames / (beta * ssum)) ** (1.0 / beta)
         _require(np.isfinite(scale), "diagonalizer row scale is NaN/Inf", m, sel)
         q_all[sel, m, :] = (qnew * scale[:, None]).conj()
-        p[lo:hi, m, :] = pnew * scale[:, None]
+        p2[lo:hi, m, :] = pnew2 * (scale**2)[:, None]
         if collect is not None:
             post = (q_all[sel, m, None, :] @ x)[:, 0, :]
             collect["post_scale_sum"][sel, m] = _scaled_power(
@@ -336,13 +336,13 @@ def update_q_subgaussian(
     recomputed post-scale sums, `collect['active']` the updated bins.
     """
     cache = FrameCache(X)
-    p = cache.projections(state.spatial.Q)
-    _q_rows_subgaussian(state, cache, p, workers, on_phase, collect)
+    p2 = cache.projection_powers(state.spatial.Q)
+    _q_rows_subgaussian(state, cache, p2, workers, on_phase, collect)
     return state
 
 
-def _q_rows_gaussian(state, cache, p, workers=1, on_phase=None):
-    """update_q_gaussian on cached frames; updates the projections p."""
+def _q_rows_gaussian(state, cache, p2, workers=1, on_phase=None):
+    """update_q_gaussian on cached frames; updates the projection powers p2."""
     active = cache.active
     n_ch, n_frames = cache.x.shape[1:]
     if active.size == 0:
@@ -357,14 +357,14 @@ def _q_rows_gaussian(state, cache, p, workers=1, on_phase=None):
         # conditioning; the q^H U q normalization below uses the true U
         umax = np.abs(u).reshape(sel.size, -1).max(axis=1)
         un = u / umax[:, None, None] + DIAG_LOAD * np.eye(n_ch)
-        qnew = _solve_row(q_all[sel] @ un, m, sel)
-        quq = (qnew.conj()[:, None, :] @ u @ qnew[:, :, None])[:, 0, 0].real
+        qnew = _solve_row(_mat_mul(q_all[sel], un), m, sel)
+        quq = _mat_mul(_mat_mul(qnew.conj()[:, None, :], u), qnew[:, :, None])[:, 0, 0].real
         _require(
             (quq > 0) & np.isfinite(quq), "iterative projection normalizer is not positive", m, sel
         )
         qnew = qnew / np.sqrt(quq)[:, None]
         q_all[sel, m, :] = qnew.conj()
-        p[lo:hi, m, :] = (qnew.conj()[:, None, :] @ cache.x[lo:hi])[:, 0, :]
+        p2[lo:hi, m, :] = np.abs((qnew.conj()[:, None, :] @ cache.x[lo:hi])[:, 0, :]) ** 2
 
     _fan_out(one_row, n_ch, active.size, workers, state, on_phase)
 
@@ -374,7 +374,7 @@ def update_q_gaussian(
 ):
     """Standard iterative-projection row update for the Gaussian model."""
     cache = FrameCache(X)
-    _q_rows_gaussian(state, cache, cache.projections(state.spatial.Q), workers, on_phase)
+    _q_rows_gaussian(state, cache, cache.projection_powers(state.spatial.Q), workers, on_phase)
     return state
 
 
@@ -438,18 +438,18 @@ def run(
     beta = state.hyper.beta
     update_q = _q_rows_gaussian if state.hyper.algorithm == "gaussian" else _q_rows_subgaussian
     cache = FrameCache(X)
-    p = cache.projections(state.spatial.Q)
-    p2 = cache.power(p)
+    p2 = cache.projection_powers(state.spatial.Q)
+    power = cache.power(p2)
     chi = _gain(state)
-    cost_before = objective.jd_cost(state.spatial.Q, p2, chi, beta)
+    cost_before = objective.jd_cost(state.spatial.Q, power, chi, beta)
     for it in range(1, iters + 1):
         phase_ms = {}
         t0 = time.perf_counter()
         try:
-            _sweep_tvzg(state, p2, chi, on_subupdate)
+            _sweep_tvzg(state, power, chi, on_subupdate)
             t1 = time.perf_counter()
             phase_ms["tvzg"] = (t1 - t0) * 1000.0
-            update_q(state, cache, p, workers, on_subupdate)
+            update_q(state, cache, p2, workers, on_subupdate)
             t2 = time.perf_counter()
             phase_ms["q"] = (t2 - t1) * 1000.0
             normalize_and_rescale(state)
@@ -460,9 +460,9 @@ def run(
             # Q is final for this iteration and normalization leaves chi
             # as the next t family would compute it: both serve the cost
             # and the next sweep
-            p2 = cache.power(p)
+            power = cache.power(p2)
             chi = _gain(state)
-            cost = objective.jd_cost(state.spatial.Q, p2, chi, beta)
+            cost = objective.jd_cost(state.spatial.Q, power, chi, beta)
         except SingularMatrixError as exc:
             raise SingularMatrixError(f"iteration {it}: {exc}", exc.index) from exc
         except NonFiniteError as exc:

@@ -278,6 +278,20 @@ class TestPipeline:
         assert "nan.wav: non-finite value nan at channel 1, sample 123" in capsys.readouterr().err
         assert not (out / "state.json").exists()
 
+    @pytest.mark.parametrize("kind", ["mono", "nan"])
+    def test_rejected_mixture_leaves_no_output_dir(self, tmp_path, kind):
+        data = np.zeros((1000, 1 if kind == "mono" else 2))
+        if kind == "nan":
+            data[123, 1] = np.nan
+        mix = tmp_path / f"{kind}.wav"
+        audio.write_wav(mix, audio.Waveform(16000, data))
+        out = tmp_path / "o"
+        run_doc = {"iterations": 1, "paths": {"mixture": str(mix), "out": str(out)}}
+        run_path = tmp_path / "run.json"
+        run_path.write_text(json.dumps(run_doc))
+        assert cli.main(["separate", "--config", str(run_path)]) == 1
+        assert not out.exists()
+
     def test_missing_config_file_is_an_error(self, tmp_path, capsys):
         rc = cli.main(["separate", "--config", str(tmp_path / "nope.json")])
         assert rc == 1

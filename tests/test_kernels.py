@@ -112,6 +112,16 @@ def test_gain_psd_and_projections(n_ch, n_src, n_bases):
     _assert_close(model.projections(st, X), p, axes=(1, 2))
 
 
+@pytest.mark.parametrize("n_ch", [2, 3])
+@pytest.mark.parametrize("n_cols", [None, 1])
+def test_in_order_product(n_ch, n_cols):
+    rng = np.random.default_rng(215 + n_ch)
+    shape_b = (9, n_ch, n_cols or n_ch)
+    a = rng.standard_normal((9, n_ch, n_ch)) + 1j * rng.standard_normal((9, n_ch, n_ch))
+    b = rng.standard_normal(shape_b) + 1j * rng.standard_normal(shape_b)
+    _assert_close(optimizer._mat_mul(a, b), a @ b, axes=(1, 2))
+
+
 @pytest.mark.parametrize("n_ch,n_src,n_bases", SHAPES)
 def test_weighted_covariance(n_ch, n_src, n_bases):
     st, X = _state(220, n_ch, n_src, n_bases)
@@ -157,12 +167,12 @@ def test_projections_carried_across_q_sweep(n_ch, n_src, n_bases, algorithm, bet
         else optimizer._q_rows_subgaussian
     )
     cache = optimizer.FrameCache(X)
-    p = cache.projections(st.spatial.Q)
+    p2 = cache.projection_powers(st.spatial.Q)
     for _ in range(2):
-        rows(st, cache, p)
-        fresh = model.projections(st, X)[cache.active]
-        _assert_close(p, _cm(fresh), axes=(1, 2))
-        assert np.array_equal(cache.power(p)[2], np.zeros((n_ch, X.shape[1])))
+        rows(st, cache, p2)
+        fresh = np.abs(model.projections(st, X)[cache.active]) ** 2
+        _assert_close(p2, _cm(fresh), axes=(1, 2))
+        assert np.array_equal(cache.power(p2)[2], np.zeros((n_ch, X.shape[1])))
 
 
 def test_worker_count_does_not_change_results_three_channels():
@@ -199,8 +209,9 @@ def _failing_bin_scene(algorithm="subgaussian", beta=3.4):
 def test_singular_system_names_frequency_bin(update, algorithm, beta, workers):
     st, X = _failing_bin_scene(algorithm, beta)
     st.spatial.Q[3, 1, :] = 0.0  # Q_3 singular: every row system there is too
-    with pytest.raises(SingularMatrixError, match=r"row 0, frequency bin 3\b"):
+    with pytest.raises(SingularMatrixError, match=r"row 0, frequency bin 3\b") as info:
         update(st, X, workers=workers)
+    assert info.value.index == 3
 
 
 def _poison_solve(monkeypatch, offset, value):

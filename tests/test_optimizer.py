@@ -251,6 +251,7 @@ class TestRun:
         with pytest.raises(SingularMatrixError) as info:
             optimizer.run(st, helpers.random_mixture(rng))
         assert str(info.value).startswith("iteration 2: diagonalizer row 0, frequency bin 0:")
+        assert info.value.index == 0
         assert isinstance(info.value.__cause__, SingularMatrixError)
 
     def test_cost_failure_names_iteration_and_keeps_index(self, monkeypatch):
