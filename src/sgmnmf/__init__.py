@@ -11,20 +11,12 @@ from .model import (
     SourceModel,
     SpatialModel,
     compute_source_psd,
-    full_rank_scm,
     init_state,
     load_state,
     mixture_gain,
     save_state,
 )
-from .objective import (
-    CostTrace,
-    cost_gaussian_jd,
-    cost_ggd_fullrank,
-    cost_ggd_jd,
-    equality_aux,
-    surrogate_tvzg,
-)
+from .objective import CostTrace, cost_ggd_jd
 from .optimizer import (
     IterationReport,
     normalize_and_rescale,
@@ -33,7 +25,7 @@ from .optimizer import (
     update_q_subgaussian,
     update_tvzg,
 )
-from .separate import SeparatedSources, wiener_separate, wiener_separate_fullrank
+from .separate import SeparatedSources, wiener_separate
 from .simulate import MixtureBundle, RoomSpec, gen_subgaussian_source, mix, synth_rir
 
 __all__ = [
@@ -51,17 +43,12 @@ __all__ = [
     "SourceModel",
     "SpatialModel",
     "compute_source_psd",
-    "full_rank_scm",
     "init_state",
     "load_state",
     "mixture_gain",
     "save_state",
     "CostTrace",
-    "cost_gaussian_jd",
-    "cost_ggd_fullrank",
     "cost_ggd_jd",
-    "equality_aux",
-    "surrogate_tvzg",
     "IterationReport",
     "normalize_and_rescale",
     "run",
@@ -70,7 +57,6 @@ __all__ = [
     "update_tvzg",
     "SeparatedSources",
     "wiener_separate",
-    "wiener_separate_fullrank",
     "MixtureBundle",
     "RoomSpec",
     "gen_subgaussian_source",

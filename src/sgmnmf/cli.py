@@ -77,10 +77,10 @@ def cmd_separate(cfg: config.RunConfig, workers: int = 1):
         raise DimensionMismatchError(
             f"{cfg.mixture}: separation needs >= 2 channels, got {wave.n_channels}"
         )
-    # a rejected mixture leaves no directory; an unwritable one fails before the run
+    stft_cfg = cfg.stft_config(wave.sample_rate)
+    # a rejected input leaves no directory; an unwritable one fails before the run
     out_dir = cfg.out if cfg.out is not None else "."
     os.makedirs(out_dir, exist_ok=True)
-    stft_cfg = cfg.stft_config(wave.sample_rate)
     spec = audio.stft(wave, stft_cfg)
     n_bins, n_frames, n_ch = spec.shape
 

@@ -82,6 +82,9 @@ class RunConfig:
         )
 
     def stft_config(self, sample_rate: int) -> StftConfig:
+        # hop_ms <= window_ms, so a hop of one sample or more keeps the window >= the hop
+        if int(round(self.hop_ms * sample_rate / 1000.0)) == 0:
+            raise ConfigError("stft.hop_ms", f"{self.hop_ms} ms is 0 samples at {sample_rate} Hz")
         return StftConfig.from_ms(self.window_ms, self.hop_ms, sample_rate)
 
 
@@ -134,7 +137,7 @@ def parse_config(doc: dict) -> RunConfig:
         n_sources=_get_int(doc, "n_sources", 2, minimum=1),
         n_bases=_get_int(doc, "n_bases", 20, minimum=1),
         iterations=_get_int(doc, "iterations", 200, minimum=0),
-        seed=_get_int(doc, "seed", 0),
+        seed=_get_int(doc, "seed", 0, minimum=0),
         window_ms=window_ms,
         hop_ms=hop_ms,
         floor_eps=_get_number(doc, "floor_eps", 1e-12, strict_min=0.0),
@@ -196,7 +199,7 @@ def parse_scene_config(doc: dict) -> SceneConfig:
             rt60=_get_number(doc, "rt60", 0.3, minimum=0.0),
             direct_delay=delays,
             filter_length=_get_int(doc, "filter_length", 4800, minimum=1),
-            seed=_get_int(doc, "seed", 0),
+            seed=_get_int(doc, "seed", 0, minimum=0),
             sample_rate=_get_int(doc, "sample_rate", 16000, minimum=1),
             tail_gain=_get_number(doc, "tail_gain", 0.05, minimum=0.0),
         )

@@ -41,10 +41,6 @@ class NonFiniteError(SgmnmfError):
     """An input sample or a computed value is NaN/Inf."""
 
 
-class InvalidAuxiliaryError(SgmnmfError):
-    """Auxiliary variables violate their simplex/positivity constraints."""
-
-
 class ConfigError(SgmnmfError):
     """A configuration document is invalid; message names the field path."""
 

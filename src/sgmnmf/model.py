@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .errors import DimensionMismatchError, NonFiniteError
 
 DEFAULT_FLOOR = 1e-12
@@ -181,18 +180,6 @@ def mixture_gain(state: SeparationState) -> np.ndarray:
     """chi_ijm = sum_{k,n} t_ik v_kj z_kn g_inm, shape (I, J, M)."""
     src = state.source
     return channel_gain(src.T, src.V, src.Z, state.spatial.G).transpose(0, 2, 1)
-
-
-def full_rank_scm(state: SeparationState) -> np.ndarray:
-    """Reconstructed full-rank spatial covariances, shape (I, N, M, M).
-
-    G_in = Q_i^{-1} diag(g_in.) Q_i^{-H}; each result is Hermitian PSD.
-    """
-    q = state.spatial.Q
-    q_inv = linalg.solve(q, np.broadcast_to(np.eye(q.shape[-1]), q.shape))
-    return np.einsum(
-        "iab,inb,icb->inac", q_inv, state.spatial.G, q_inv.conj(), optimize=True
-    )
 
 
 def projections(state: SeparationState, X: np.ndarray) -> np.ndarray:

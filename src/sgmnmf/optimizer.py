@@ -99,9 +99,22 @@ def _mat_mul(a, b):
     return out
 
 
+# what each axis of a family's update factor indexes, for error messages;
+# t is (bin, basis) and g (bin, source, channel), so the bin locates them
+_FACTOR_AXES = {
+    "t": ("frequency bin",),
+    "v": ("basis", "frame"),
+    "z": ("basis", "source"),
+    "g": ("frequency bin",),
+}
+
+
 def _check_factor(name, factor):
+    """Raise NonFiniteError naming the first non-finite entry of the factor."""
     if not np.isfinite(factor).all():
-        raise NonFiniteError(f"update factor for {name!r} contains NaN/Inf")
+        idx = np.unravel_index(np.flatnonzero(~np.isfinite(factor))[0], factor.shape)
+        where = ", ".join(f"{axis} {i}" for axis, i in zip(_FACTOR_AXES[name], idx))
+        raise NonFiniteError(f"update factor for {name!r} contains NaN/Inf at {where}")
 
 
 def _family_sums(name, state, p2, chi):
@@ -221,15 +234,6 @@ def _scaled_power(p2, pm2, w2, beta):
     return p2 * (p2 / pm2) ** (beta / 2.0 - 1.0) * w2
 
 
-def row_update_terms(state: model.SeparationState, X: np.ndarray, row: int):
-    """Expose (r, U, B) for one diagonalizer row at the current state."""
-    beta = state.hyper.beta
-    p2 = np.abs(state.spatial.Q @ X.transpose(0, 2, 1)) ** 2
-    u, b, pm2, w2 = _row_system(p2, _gain(state), _outer_products(X), state.spatial.Q, row, beta)
-    rb = np.divide(pm2 ** (beta / 2.0 - 1.0), w2, out=np.ones_like(w2), where=w2 > 0)
-    return {"r": rb ** (1.0 / beta), "U": u, "B": b}
-
-
 def _blocks(n, workers):
     workers = max(1, min(workers, n))
     bounds = np.linspace(0, n, workers + 1).astype(int)
@@ -281,14 +285,11 @@ def _require(ok, message, m, bins):
         raise NonFiniteError(f"{message} (diagonalizer row {m}, frequency bin {bins[idx]})")
 
 
-def _q_rows_subgaussian(state, cache, p2, workers=1, on_phase=None, collect=None):
+def _q_rows_subgaussian(state, cache, p2, workers=1, on_phase=None):
     """update_q_subgaussian on cached frames; updates the projection powers p2."""
     beta = state.hyper.beta
     active = cache.active
     n_ch, n_frames = cache.x.shape[1:]
-    if collect is not None:
-        collect["post_scale_sum"] = np.full((cache.n_bins, n_ch), np.nan)
-        collect["active"] = active
     if active.size == 0:
         return
     chi = _gain(state, active)
@@ -311,11 +312,6 @@ def _q_rows_subgaussian(state, cache, p2, workers=1, on_phase=None, collect=None
         _require(np.isfinite(scale), "diagonalizer row scale is NaN/Inf", m, sel)
         q_all[sel, m, :] = (qnew * scale[:, None]).conj()
         p2[lo:hi, m, :] = pnew2 * (scale**2)[:, None]
-        if collect is not None:
-            post = (q_all[sel, m, None, :] @ x)[:, 0, :]
-            collect["post_scale_sum"][sel, m] = _scaled_power(
-                np.abs(post) ** 2, pm2, w2, beta
-            ).sum(axis=1)
 
     _fan_out(one_row, n_ch, active.size, workers, state, on_phase)
 
@@ -324,7 +320,6 @@ def update_q_subgaussian(
     state: model.SeparationState,
     X: np.ndarray,
     workers: int = 1,
-    collect=None,
     on_phase=None,
 ):
     """Row-wise diagonalizer update for beta in (2, 4].
@@ -332,12 +327,12 @@ def update_q_subgaussian(
     Each row m is re-solved from (Q_i B_im)^{-1} e_m and then rescaled
     along its ray so that sum_j |q^H x_j|^beta / r_j^beta = 2J/beta,
     which is the exact minimizer of the row surrogate.  Bins with no
-    energy are left untouched.  `collect['post_scale_sum']` receives the
-    recomputed post-scale sums, `collect['active']` the updated bins.
+    energy are left untouched.  on_phase(f"q_row_{m}", state) fires after
+    each row.
     """
     cache = FrameCache(X)
     p2 = cache.projection_powers(state.spatial.Q)
-    _q_rows_subgaussian(state, cache, p2, workers, on_phase, collect)
+    _q_rows_subgaussian(state, cache, p2, workers, on_phase)
     return state
 
 
@@ -391,8 +386,11 @@ def normalize_and_rescale(state: model.SeparationState):
     t, v, z = state.source.T, state.source.V, state.source.Z
     g = state.spatial.G
     c_n = g.mean(axis=(0, 2))
-    if not np.isfinite(c_n).all() or (c_n <= 0).any():
-        raise NonFiniteError("degenerate gain normalization")
+    bad = ~np.isfinite(c_n) | (c_n <= 0)
+    if bad.any():
+        raise NonFiniteError(
+            f"degenerate gain normalization at source {int(np.flatnonzero(bad)[0])}"
+        )
     g /= c_n[None, :, None]
     z *= c_n[None, :]
     d_k = t.sum(axis=0)

@@ -51,17 +51,6 @@ def wiener_separate(state: model.SeparationState, X: np.ndarray) -> SeparatedSou
     return SeparatedSources(spectra=spectra)
 
 
-def wiener_separate_fullrank(
-    X: np.ndarray, scm: np.ndarray, sigma: np.ndarray
-) -> np.ndarray:
-    """Direct filter (sigma_ijn G_in) Xhat^{-1} x_ij; the test oracle."""
-    xhat = np.einsum("ijn,inab->ijab", sigma, scm, optimize=True)
-    sol = linalg.solve(xhat, X)
-    out = np.einsum("inab,ijb->ijna", scm, sol, optimize=True)
-    out = out * sigma[:, :, :, None]
-    return out.transpose(2, 0, 1, 3).copy()
-
-
 def to_waveforms(
     sep: SeparatedSources,
     cfg: audio.StftConfig,

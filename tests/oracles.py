@@ -1,0 +1,224 @@
+"""Test oracles: the full-rank model and the majorization bounds.
+
+The update rules come from majorizing the sub-Gaussian cost once the
+joint-diagonalizability constraint has turned the full-rank model into
+a diagonal one.  What that derivation relies on lives here, not in the
+package, because no separation runs it:
+
+- the full-rank covariances, cost and Wiener filter, which must agree
+  with their diagonal-domain counterparts;
+- the Jensen/tangent surrogate of the nonnegative block and the
+  auxiliary values at which it touches the cost;
+- the diagonalizer row system and the post-scale sums of the row update.
+"""
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from sgmnmf import linalg, model, optimizer
+from sgmnmf.errors import NonFiniteError, SgmnmfError
+
+AUX_ATOL = 1e-8
+
+
+class InvalidAuxiliaryError(SgmnmfError):
+    """Auxiliary variables violate their simplex/positivity constraints."""
+
+
+# ---------------------------------------------------------------------------
+# the full-rank model
+
+
+def full_rank_scm(state: model.SeparationState) -> np.ndarray:
+    """Reconstructed full-rank spatial covariances, shape (I, N, M, M).
+
+    G_in = Q_i^{-1} diag(g_in.) Q_i^{-H}; each result is Hermitian PSD.
+    """
+    q = state.spatial.Q
+    q_inv = linalg.solve(q, np.broadcast_to(np.eye(q.shape[-1]), q.shape))
+    return np.einsum(
+        "iab,inb,icb->inac", q_inv, state.spatial.G, q_inv.conj(), optimize=True
+    )
+
+
+def cost_gaussian_jd(state: model.SeparationState, X: np.ndarray) -> float:
+    """Gaussian objective in the diagonal domain (beta = 2 special case)."""
+    p = model.projections(state, X)
+    chi = model.mixture_gain(state)
+    n_frames = X.shape[1]
+    det_term = -2.0 * n_frames * np.sum(linalg.log_abs_det(state.spatial.Q))
+    val = det_term + np.sum(np.abs(p) ** 2 / chi + np.log(chi))
+    if not math.isfinite(val):
+        raise NonFiniteError("objective evaluated to NaN/Inf")
+    return float(val)
+
+
+def cost_ggd_fullrank(X: np.ndarray, scm: np.ndarray, sigma: np.ndarray, beta: float) -> float:
+    """Sub-Gaussian objective with explicit full-rank covariances.
+
+    sum_ij [(x^H Xhat^{-1} x)^{beta/2} + log det Xhat] with
+    Xhat_ij = sum_n sigma_ijn G_in.  When the covariances come from
+    full_rank_scm, log det Xhat expands to sum_m log chi - 2 log|det Q|,
+    so this equals cost_ggd_jd with no further correction.
+    """
+    xhat = np.einsum("ijn,inab->ijab", sigma, scm, optimize=True)
+    sol = linalg.solve(xhat, X)
+    quad = np.maximum(np.einsum("ijm,ijm->ij", X.conj(), sol, optimize=True).real, 0.0)
+    val = np.sum(quad ** (beta / 2.0)) + np.sum(linalg.log_abs_det(xhat))
+    if not math.isfinite(val):
+        raise NonFiniteError("objective evaluated to NaN/Inf")
+    return float(val)
+
+
+def wiener_separate_fullrank(
+    X: np.ndarray, scm: np.ndarray, sigma: np.ndarray
+) -> np.ndarray:
+    """Direct filter (sigma_ijn G_in) Xhat^{-1} x_ij, shape (N, I, J, M)."""
+    xhat = np.einsum("ijn,inab->ijab", sigma, scm, optimize=True)
+    sol = linalg.solve(xhat, X)
+    out = np.einsum("inab,ijb->ijna", scm, sol, optimize=True)
+    out = out * sigma[:, :, :, None]
+    return out.transpose(2, 0, 1, 3).copy()
+
+
+# ---------------------------------------------------------------------------
+# auxiliary variables and the surrogate for the nonnegative block
+
+
+@dataclass
+class Auxiliary:
+    """Weights for the Jensen/tangent bounds on the nonnegative block.
+
+    xi   (I, J, M)          simplex over m per (i, j)
+    eta  (I, J, K, N, M)    simplex over (k, n) per (i, j, m)
+    zeta (I, J, M)          positive tangent points for log chi
+    """
+
+    xi: np.ndarray
+    eta: np.ndarray
+    zeta: np.ndarray
+
+    def validate(self):
+        for name, arr in (("xi", self.xi), ("eta", self.eta), ("zeta", self.zeta)):
+            if not np.isfinite(arr).all():
+                raise InvalidAuxiliaryError(f"{name} contains NaN/Inf")
+        if self.xi.min() < -AUX_ATOL or self.eta.min() < -AUX_ATOL:
+            raise InvalidAuxiliaryError("simplex weights must be nonnegative")
+        if self.zeta.min() <= 0:
+            raise InvalidAuxiliaryError("tangent points must be positive")
+        xi_sum = self.xi.sum(axis=2)
+        if np.abs(xi_sum - 1.0).max() > AUX_ATOL:
+            raise InvalidAuxiliaryError("xi must sum to 1 over channels")
+        eta_sum = self.eta.sum(axis=(2, 3))
+        if np.abs(eta_sum - 1.0).max() > AUX_ATOL:
+            raise InvalidAuxiliaryError("eta must sum to 1 over (basis, source)")
+
+
+def equality_aux(state: model.SeparationState, X: np.ndarray) -> Auxiliary:
+    """Auxiliary values at which the surrogate touches the objective."""
+    p2 = np.abs(model.projections(state, X)) ** 2
+    chi = model.mixture_gain(state)
+    ratio = p2 / chi
+    y = ratio.sum(axis=2, keepdims=True)
+    n_ch = p2.shape[2]
+    xi = np.where(y > 0, ratio / np.where(y > 0, y, 1.0), 1.0 / n_ch)
+    prod = np.einsum(
+        "ik,kj,kn,inm->ijknm",
+        state.source.T,
+        state.source.V,
+        state.source.Z,
+        state.spatial.G,
+        optimize=True,
+    )
+    eta = prod / chi[:, :, None, None, :]
+    aux = Auxiliary(xi=xi, eta=eta, zeta=chi.copy())
+    for arr in (aux.xi, aux.eta, aux.zeta):
+        if not np.isfinite(arr).all():
+            raise NonFiniteError("auxiliary update produced NaN/Inf")
+    return aux
+
+
+def surrogate_tvzg(state: model.SeparationState, X: np.ndarray, aux: Auxiliary) -> float:
+    """Upper bound on cost_ggd_jd, tight at aux = equality_aux(state, X).
+
+    Jensen on the convex powers y^{beta/2} (weights xi) and chi^{-beta/2}
+    (weights eta), tangent bound on log chi at zeta; the Q log-det term is
+    kept so the surrogate and the objective share constants.
+    """
+    aux.validate()
+    beta = state.hyper.beta
+    p2 = np.abs(model.projections(state, X)) ** 2
+    chi = model.mixture_gain(state)
+    n_frames = X.shape[1]
+
+    prod = np.einsum(
+        "ik,kj,kn,inm->ijknm",
+        state.source.T,
+        state.source.V,
+        state.source.Z,
+        state.spatial.G,
+        optimize=True,
+    )
+    # sum_kn eta^{1+beta/2} prod^{-beta/2}, with eta = 0 entries dropped
+    eta = aux.eta
+    safe = np.where(eta > 0, eta, 0.0)
+    inner = np.sum(safe ** (1.0 + beta / 2.0) * prod ** (-beta / 2.0), axis=(2, 3))
+    xi = np.where(aux.xi > 0, aux.xi, 0.0)
+    with np.errstate(divide="ignore"):
+        xi_pow = np.where(p2 > 0, xi ** (1.0 - beta / 2.0), 0.0)
+    bound = np.sum(xi_pow * p2 ** (beta / 2.0) * inner)
+
+    tangent = np.sum(np.log(aux.zeta) + (chi - aux.zeta) / aux.zeta)
+    det_term = -2.0 * n_frames * np.sum(linalg.log_abs_det(state.spatial.Q))
+    val = det_term + tangent + bound
+    # zero weight against a nonzero projection gives a vacuous +inf bound;
+    # only NaN indicates a real numerical failure
+    if math.isnan(val):
+        raise NonFiniteError("surrogate evaluated to NaN")
+    return float(val)
+
+
+# ---------------------------------------------------------------------------
+# the diagonalizer row update
+
+
+def row_update_terms(state: model.SeparationState, X: np.ndarray, row: int):
+    """(r, U, B) for one diagonalizer row at the current state."""
+    beta = state.hyper.beta
+    p2 = np.abs(state.spatial.Q @ X.transpose(0, 2, 1)) ** 2
+    u, b, pm2, w2 = optimizer._row_system(
+        p2, optimizer._gain(state), optimizer._outer_products(X), state.spatial.Q, row, beta
+    )
+    rb = np.divide(pm2 ** (beta / 2.0 - 1.0), w2, out=np.ones_like(w2), where=w2 > 0)
+    return {"r": rb ** (1.0 / beta), "U": u, "B": b}
+
+
+def post_scale_sums(state: model.SeparationState, X: np.ndarray) -> np.ndarray:
+    """Run update_q_subgaussian on state; return the post-scale sums.
+
+    For each active bin and row m, sum_j |q_m^H x_j|^beta / r_j^beta
+    with the rescaled row, shape (A, M).  The weights r come from the
+    row system of the state the row update started from, recomputed
+    after the row, so the sum is the one the update's scale step drives
+    to 2J/beta.
+    """
+    beta = state.hyper.beta
+    cache = optimizer.FrameCache(X)
+    p2 = cache.projection_powers(state.spatial.Q)
+    active = cache.active
+    chi = optimizer._gain(state, active)
+    sums = np.empty((active.size, cache.x.shape[1]))
+    p2_row, q_row = p2.copy(), state.spatial.Q[active]
+
+    def after_row(name, st):
+        nonlocal p2_row, q_row
+        m = int(name.removeprefix("q_row_"))
+        _, _, pm2, w2 = optimizer._row_system(p2_row, chi, cache.xx, q_row, m, beta)
+        post = (st.spatial.Q[active, m, None, :] @ cache.x)[:, 0, :]
+        sums[:, m] = optimizer._scaled_power(np.abs(post) ** 2, pm2, w2, beta).sum(axis=1)
+        p2_row, q_row = p2.copy(), st.spatial.Q[active]
+
+    optimizer._q_rows_subgaussian(state, cache, p2, on_phase=after_row)
+    return sums

@@ -53,6 +53,15 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="hop_ms"):
             config.parse_config({"stft": {"window_ms": 32.0, "hop_ms": 64.0}})
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed"):
+            config.parse_config({"seed": -1})
+
+    def test_hop_under_one_sample_rejected(self):
+        cfg = config.parse_config({"stft": {"hop_ms": 0.01}})
+        with pytest.raises(ConfigError, match=r"stft\.hop_ms: .* 16000 Hz"):
+            cfg.stft_config(16000)
+
     def test_paths_and_stft_round_trip(self):
         cfg = config.parse_config(
             {
@@ -95,6 +104,10 @@ class TestSceneConfig:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError, match="source_kind"):
             config.parse_scene_config({"source_kind": "speech"})
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed"):
+            config.parse_scene_config({"seed": -1})
 
     def test_bad_delays_become_config_error(self):
         with pytest.raises(ConfigError):
@@ -290,6 +303,23 @@ class TestPipeline:
         run_path = tmp_path / "run.json"
         run_path.write_text(json.dumps(run_doc))
         assert cli.main(["separate", "--config", str(run_path)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field,doc",
+        [("seed", {"seed": -1}), ("stft.hop_ms", {"stft": {"hop_ms": 0.01}})],
+    )
+    def test_rejected_config_leaves_no_output_dir(self, scene_dir, tmp_path, capsys, field, doc):
+        out = tmp_path / "o"
+        run_doc = {
+            "iterations": 1,
+            "paths": {"mixture": str(scene_dir / "mixture.wav"), "out": str(out)},
+            **doc,
+        }
+        run_path = tmp_path / "run.json"
+        run_path.write_text(json.dumps(run_doc))
+        assert cli.main(["separate", "--config", str(run_path)]) == 1
+        assert f"error: {field}: " in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_config_file_is_an_error(self, tmp_path, capsys):

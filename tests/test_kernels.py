@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import helpers
+import oracles
 from sgmnmf import model, optimizer
 from sgmnmf.errors import NonFiniteError, SingularMatrixError
 
@@ -138,7 +139,7 @@ def test_row_system(n_ch, n_src, n_bases, beta):
     chi = model.mixture_gain(st)
     for m in range(n_ch):
         r, u, b = oracle_row_system(X, chi, st.spatial.Q, m, beta)
-        terms = optimizer.row_update_terms(st, X, m)
+        terms = oracles.row_update_terms(st, X, m)
         _assert_close(terms["U"], u, axes=(1, 2))
         _assert_close(terms["B"], b, axes=(1, 2))
         _assert_close(terms["r"], r)

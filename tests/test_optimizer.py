@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import helpers
+import oracles
 from sgmnmf import model, objective, optimizer
-from sgmnmf.errors import DimensionMismatchError, SingularMatrixError
+from sgmnmf.errors import DimensionMismatchError, NonFiniteError, SingularMatrixError
 
 
 class TestSubupdateDescent:
@@ -21,11 +22,11 @@ class TestSubupdateDescent:
                 beta=beta, algorithm=algorithm, iterations=8,
             )
             X = helpers.random_mixture(rng, 6, 9, 2)
-            seq = [objective.current_cost(st, X)]
+            seq = [objective.cost_ggd_jd(st, X)]
             names = ["start"]
 
             def record(name, state):
-                seq.append(objective.current_cost(state, X))
+                seq.append(objective.cost_ggd_jd(state, X))
                 names.append(name)
 
             optimizer.run(st, X, on_subupdate=record)
@@ -115,10 +116,8 @@ class TestDiagonalizerUpdates:
         rng = np.random.default_rng(121)
         st = helpers.random_state(rng, n_bins=5, n_frames=11, n_channels=2, beta=3.6)
         X = helpers.random_mixture(rng, 5, 11, 2)
-        collect = {}
-        optimizer.update_q_subgaussian(st, X, collect=collect)
+        got = oracles.post_scale_sums(st, X)
         want = 2 * 11 / st.hyper.beta
-        got = collect["post_scale_sum"][collect["active"]]
         np.testing.assert_allclose(got, want, rtol=1e-10)
 
     def test_silent_bins_left_untouched(self):
@@ -169,10 +168,10 @@ class TestNormalization:
         st = helpers.random_state(rng, n_bins=4, n_frames=6, n_channels=2)
         X = helpers.random_mixture(rng, 4, 6, 2)
         chi0 = model.mixture_gain(st)
-        c0 = objective.current_cost(st, X)
+        c0 = objective.cost_ggd_jd(st, X)
         optimizer.normalize_and_rescale(st)
         np.testing.assert_allclose(model.mixture_gain(st), chi0, rtol=1e-12)
-        assert objective.current_cost(st, X) == pytest.approx(c0, rel=1e-12)
+        assert objective.cost_ggd_jd(st, X) == pytest.approx(c0, rel=1e-12)
 
     def test_canonical_scales(self):
         rng = np.random.default_rng(132)
@@ -271,6 +270,59 @@ class TestRun:
         with pytest.raises(SingularMatrixError, match=r"^iteration 1: singular") as info:
             optimizer.run(st, helpers.random_mixture(rng))
         assert info.value.index == 4
+
+
+
+def _poison_family(monkeypatch, family, pos, from_call=1):
+    """Put a NaN at `pos` of `family`'s numerator from its `from_call`-th sum on."""
+    real = optimizer._family_sums
+    calls = []
+
+    def family_sums(name, *args):
+        num, den = real(name, *args)
+        if name == family:
+            calls.append(None)
+            if len(calls) >= from_call:
+                num[pos] = np.nan
+        return num, den
+
+    monkeypatch.setattr(optimizer, "_family_sums", family_sums)
+
+
+class TestFailureLocation:
+    @pytest.mark.parametrize(
+        "family,pos,where",
+        [
+            ("t", (3, 1), "frequency bin 3"),
+            ("v", (2, 5), "basis 2, frame 5"),
+            ("z", (1, 1), "basis 1, source 1"),
+            ("g", (4, 1, 0), "frequency bin 4"),
+        ],
+    )
+    def test_non_finite_factor_names_its_index(self, monkeypatch, family, pos, where):
+        _poison_family(monkeypatch, family, pos)
+        rng = np.random.default_rng(161)
+        st = helpers.random_state(rng, n_bins=6, n_frames=7, n_bases=3)
+        with pytest.raises(
+            NonFiniteError, match=rf"^update factor for '{family}' contains NaN/Inf at {where}$"
+        ):
+            optimizer.update_tvzg(st, helpers.random_mixture(rng, 6, 7, 2))
+
+    def test_run_keeps_iteration_prefix(self, monkeypatch):
+        _poison_family(monkeypatch, "v", (0, 4), from_call=2)
+        rng = np.random.default_rng(162)
+        st = helpers.random_state(rng, iterations=3)
+        with pytest.raises(
+            NonFiniteError, match=r"^iteration 2: update factor for 'v' .* at basis 0, frame 4$"
+        ):
+            optimizer.run(st, helpers.random_mixture(rng))
+
+    def test_degenerate_normalization_names_source(self):
+        rng = np.random.default_rng(163)
+        st = helpers.random_state(rng, n_sources=3)
+        st.spatial.G[:, 1, :] = np.inf
+        with pytest.raises(NonFiniteError, match=r"gain normalization at source 1$"):
+            optimizer.normalize_and_rescale(st)
 
 
 class TestFixedPoint:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
+import oracles
 from sgmnmf import audio, model, separate
 
 
@@ -23,8 +24,8 @@ class TestWienerSeparate:
             st = helpers.random_state(rng, n_bins=3, n_frames=5, n_channels=2, n_sources=2)
             X = helpers.random_mixture(rng, 3, 5, 2)
             got = separate.wiener_separate(st, X).spectra
-            want = separate.wiener_separate_fullrank(
-                X, model.full_rank_scm(st), model.compute_source_psd(st.source)
+            want = oracles.wiener_separate_fullrank(
+                X, oracles.full_rank_scm(st), model.compute_source_psd(st.source)
             )
             np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-10)
 
