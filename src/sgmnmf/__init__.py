@@ -21,8 +21,7 @@ from .optimizer import (
     IterationReport,
     normalize_and_rescale,
     run,
-    update_q_gaussian,
-    update_q_subgaussian,
+    update_q,
     update_tvzg,
 )
 from .separate import SeparatedSources, wiener_separate
@@ -52,8 +51,7 @@ __all__ = [
     "IterationReport",
     "normalize_and_rescale",
     "run",
-    "update_q_gaussian",
-    "update_q_subgaussian",
+    "update_q",
     "update_tvzg",
     "SeparatedSources",
     "wiener_separate",

@@ -146,13 +146,17 @@ def istft(spec: np.ndarray, cfg: StftConfig, length: int, sample_rate: int = 160
 
 _FMT_PCM = 1
 _FMT_FLOAT = 3
+# (format tag, bits per sample) -> (sample dtype, full scale)
+_SAMPLE_TYPES = {(_FMT_PCM, 16): ("<i2", 32768.0), (_FMT_FLOAT, 32): ("<f4", 1.0)}
 
 
 def read_wav(path) -> Waveform:
     """Read a PCM16 or float32 WAV file; samples scaled to [-1, 1) for PCM16.
 
     A NaN or Inf sample raises NonFiniteError naming its channel and
-    sample index.
+    sample index; a zero sample rate or a data chunk that ends inside a
+    sample raises CorruptHeaderError.  A partial trailing frame (fewer
+    samples than channels) is dropped.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -179,14 +183,19 @@ def read_wav(path) -> Waveform:
     audio_format, n_ch, sample_rate, _, _, bits = fmt
     if n_ch < 1:
         raise CorruptHeaderError(f"{path}: channel count {n_ch}")
-    if audio_format == _FMT_PCM and bits == 16:
-        samples = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
-    elif audio_format == _FMT_FLOAT and bits == 32:
-        samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
-    else:
+    if sample_rate < 1:
+        raise CorruptHeaderError(f"{path}: sample rate {sample_rate}")
+    if (audio_format, bits) not in _SAMPLE_TYPES:
         raise UnsupportedFormatError(
             f"{path}: format {audio_format} with {bits} bits not supported"
         )
+    dtype, full_scale = _SAMPLE_TYPES[audio_format, bits]
+    if len(data) % (bits // 8):
+        raise CorruptHeaderError(
+            f"{path}: data chunk of {len(data)} bytes ends inside a {bits}-bit sample"
+        )
+    samples = np.frombuffer(data, dtype=dtype).astype(np.float64)
+    samples /= full_scale
     n = samples.size // n_ch
     data = samples[: n * n_ch].reshape(n, n_ch)
     finite = np.isfinite(data)

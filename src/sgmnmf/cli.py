@@ -1,7 +1,8 @@
 """Command-line entry point: simulate / separate / evaluate.
 
-Worker count resolution: SGMNMF_WORKERS (if set) beats --workers beats
-the default of 1.  Single-worker runs are bit-reproducible.
+--workers (default 1) splits the optimizer's frequency axis across
+threads; outputs are bit-identical for every worker count.  A rejected
+input leaves no output directory behind.
 """
 
 import argparse
@@ -23,26 +24,9 @@ def _load_json(path):
         raise SgmnmfError(f"{path}: invalid JSON ({exc})") from exc
 
 
-def _resolve_workers(flag_value):
-    env = os.environ.get("SGMNMF_WORKERS")
-    if env is not None:
-        try:
-            workers = int(env)
-        except ValueError:
-            raise SgmnmfError(f"SGMNMF_WORKERS: expected an integer, got {env!r}")
-    elif flag_value is not None:
-        workers = flag_value
-    else:
-        workers = 1
-    if workers < 1:
-        raise SgmnmfError(f"worker count must be >= 1, got {workers}")
-    return workers
-
-
 def cmd_simulate(spec_path, out_dir):
     scene = config.parse_scene_config(_load_json(spec_path))
     room = scene.room
-    os.makedirs(out_dir, exist_ok=True)
     length = int(round(scene.duration_s * room.sample_rate))
     dries = []
     source_seeds = []
@@ -56,7 +40,7 @@ def cmd_simulate(spec_path, out_dir):
         )
     rirs = simulate.synth_rir(room)
     bundle = simulate.mix(dries, rirs, snr_db=scene.snr_db)
-
+    os.makedirs(out_dir, exist_ok=True)
     audio.write_wav(os.path.join(out_dir, "mixture.wav"), bundle.mixture)
     for n in range(room.n_sources):
         audio.write_wav(os.path.join(out_dir, f"image_{n}.wav"), bundle.images[n])
@@ -123,8 +107,8 @@ def build_parser():
     parser.add_argument(
         "--workers",
         type=int,
-        default=None,
-        help="frequency-axis worker count (SGMNMF_WORKERS overrides; default 1)",
+        default=1,
+        help="frequency-axis worker count (default 1)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -147,9 +131,10 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return cmd_simulate(args.spec, args.out)
         if args.command == "separate":
-            workers = _resolve_workers(args.workers)
+            if args.workers < 1:
+                raise SgmnmfError(f"--workers: must be >= 1, got {args.workers}")
             cfg = config.parse_config(_load_json(args.config))
-            return cmd_separate(cfg, workers=workers)
+            return cmd_separate(cfg, workers=args.workers)
         if args.command == "evaluate":
             cfg = config.parse_eval_config(_load_json(args.config))
             return cmd_evaluate(cfg)

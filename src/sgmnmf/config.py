@@ -217,9 +217,20 @@ def parse_scene_config(doc: dict) -> SceneConfig:
         if kind not in ("uniform_iid", "am_tone"):
             raise ConfigError(f"source_kind[{idx}]", f"unknown kind {kind!r}")
 
+    duration_s = _get_number(doc, "duration_s", 2.0, strict_min=0.0)
+    # mix balances the sources' powers at channel 1, so every source must
+    # reach it: a scene that ends before a direct path has a zero image
+    length = int(round(duration_s * room.sample_rate))
+    arrival = int(room.direct_delay[:, 0].max())
+    if length <= arrival:
+        raise ConfigError(
+            "duration_s",
+            f"{duration_s} s is {length} samples at {room.sample_rate} Hz, which ends "
+            f"before a direct path reaches channel 1 at sample {arrival}",
+        )
     return SceneConfig(
         room=room,
-        duration_s=_get_number(doc, "duration_s", 2.0, strict_min=0.0),
+        duration_s=duration_s,
         source_kinds=kinds,
         snr_db=_get_number(doc, "snr_db", 0.0),
     )

@@ -7,8 +7,9 @@ Q_i, then a scale renormalization that leaves the objective unchanged.
 Every sub-update is monotone: the objective never increases.
 
 The Gaussian model (beta = 2) runs the same multiplicative sweep, where
-the general rule is the square-root rule bit for bit; only its
-diagonalizer rule (iterative projection) is separate.
+the general rule is the square-root rule bit for bit, and the same
+diagonalizer row sweep (_q_rows); only its row rule (iterative
+projection) differs.
 
 `run` computes what X alone determines once per run (FrameCache) and
 carries the projection powers p2 = |Q x|^2 and the gains chi from one
@@ -234,29 +235,109 @@ def _scaled_power(p2, pm2, w2, beta):
     return p2 * (p2 / pm2) ** (beta / 2.0 - 1.0) * w2
 
 
-def _blocks(n, workers):
-    workers = max(1, min(workers, n))
-    bounds = np.linspace(0, n, workers + 1).astype(int)
-    return [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+def _require(ok, message, m, bins):
+    """Raise NonFiniteError naming the first bin where `ok` fails."""
+    if not ok.all():
+        idx = int(np.flatnonzero(~ok)[0])
+        raise NonFiniteError(f"{message} (diagonalizer row {m}, frequency bin {bins[idx]})")
 
 
-def _fan_out(one_row, n_rows, n_active, workers, state, on_phase):
-    """Call one_row(m, lo, hi) over blocks of the active bins, row by row.
+def _solve_row(q, a, m, bins):
+    """(Q A)^{-1} e_m per bin; a singular system names its frequency bin.
 
-    Blocks run on threads when there are several; every block of a row
-    finishes before the next row starts, and the first error raised by
-    any block is re-raised once all of them have finished.
+    Both rules fix the solved row's scale afterwards, so each A is scaled
+    to a largest entry of 1 at no cost, which keeps the systems within
+    floating-point range, and then loaded with DIAG_LOAD.
     """
-    blocks = _blocks(n_active, workers)
+    n_ch = a.shape[-1]
+    amax = np.abs(a).reshape(a.shape[0], -1).max(axis=1)
+    an = a / amax[:, None, None] + DIAG_LOAD * np.eye(n_ch)
+    rhs = np.broadcast_to(np.eye(n_ch)[m], (a.shape[0], n_ch))
+    try:
+        return linalg.solve(_mat_mul(q, an), rhs)
+    except SingularMatrixError as exc:
+        raise SingularMatrixError(
+            f"diagonalizer row {m}, frequency bin {bins[exc.index]}: {exc}", int(bins[exc.index])
+        ) from exc
+
+
+# Each row rule takes a block of bins -- Q (B, M, M), x (B, M, J), the
+# frame outer products xx (B, J, M^2), p2 = |Q x|^2 and chi (B, M, J) --
+# the row m, beta and the blocks' frequency bins, and returns the new
+# row m of Q with its |q^H x|^2, (B, M) and (B, J).
+
+
+def _subgaussian_row(q, x, xx, p2, chi, m, beta, bins):
+    """Auxiliary-function update of row m for beta in (2, 4].
+
+    The row is re-solved from (Q_i B_im)^{-1} e_m and then rescaled along
+    its ray so that sum_j |q^H x_j|^beta / r_j^beta = 2J/beta, which is
+    the exact minimizer of the row surrogate.
+    """
+    _, b, pm2, w2 = _row_system(p2, chi, xx, q, m, beta)
+    qnew = _solve_row(q, b, m, bins)
+    pnew2 = np.abs((qnew.conj()[:, None, :] @ x)[:, 0, :]) ** 2
+    ssum = _scaled_power(pnew2, pm2, w2, beta).sum(axis=1)
+    scale = (2.0 * x.shape[-1] / (beta * ssum)) ** (1.0 / beta)
+    _require(np.isfinite(scale), "diagonalizer row scale is NaN/Inf", m, bins)
+    return (qnew * scale[:, None]).conj(), pnew2 * (scale**2)[:, None]
+
+
+def _gaussian_row(q, x, xx, p2, chi, m, beta, bins):
+    """Iterative projection of row m for the Gaussian model.
+
+    The row solves (Q_i U_im)^{-1} e_m, U_im = (1/J) sum_j x_j x_j^H /
+    chi_imj, and is normalized to q^H U q = 1 against the true U.
+    """
+    u = _weighted_cov(1.0 / chi[:, m, :], xx) / x.shape[-1]
+    qnew = _solve_row(q, u, m, bins)
+    quq = _mat_mul(_mat_mul(qnew.conj()[:, None, :], u), qnew[:, :, None])[:, 0, 0].real
+    _require(
+        (quq > 0) & np.isfinite(quq), "iterative projection normalizer is not positive", m, bins
+    )
+    row = (qnew / np.sqrt(quq)[:, None]).conj()
+    return row, np.abs((row[:, None, :] @ x)[:, 0, :]) ** 2
+
+
+_ROW_RULES = {"subgaussian": _subgaussian_row, "gaussian": _gaussian_row}
+
+
+def _q_rows(state, cache, p2, workers=1, on_phase=None):
+    """One sweep over the rows of every active Q_i; updates p2 in place.
+
+    The row rule is the one of state.hyper.algorithm.  Each row's active
+    bins are split into up to `workers` contiguous blocks, which run on
+    threads when there are several; every block of a row finishes before
+    the next row starts, and the first error raised by any block is
+    re-raised once all of them have finished.  on_phase(f"q_row_{m}",
+    state) fires after each row.
+    """
+    active = cache.active
+    if active.size == 0:
+        return
+    rule = _ROW_RULES[state.hyper.algorithm]
+    beta = state.hyper.beta
+    chi = _gain(state, active)
+    q_all = state.spatial.Q
+
+    def one_block(m, lo, hi):
+        sel = active[lo:hi]
+        row, row_p2 = rule(
+            q_all[sel], cache.x[lo:hi], cache.xx[lo:hi], p2[lo:hi], chi[lo:hi], m, beta, sel
+        )
+        q_all[sel, m, :] = row
+        p2[lo:hi, m, :] = row_p2
+
+    bounds = np.linspace(0, active.size, max(1, min(workers, active.size)) + 1).astype(int)
+    blocks = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
     pool = ThreadPoolExecutor(max_workers=len(blocks)) if len(blocks) > 1 else None
     try:
-        for m in range(n_rows):
+        for m in range(cache.x.shape[1]):
             if pool is None:
-                one_row(m, *blocks[0])
+                one_block(m, *blocks[0])
             else:
-                futs = [pool.submit(one_row, m, lo, hi) for lo, hi in blocks]
-                errors = [f.exception() for f in futs]
-                for err in errors:
+                futs = [pool.submit(one_block, m, lo, hi) for lo, hi in blocks]
+                for err in [f.exception() for f in futs]:
                     if err is not None:
                         raise err
             if on_phase is not None:
@@ -266,110 +347,15 @@ def _fan_out(one_row, n_rows, n_active, workers, state, on_phase):
             pool.shutdown()
 
 
-def _solve_row(a, m, bins):
-    """(a)^{-1} e_m per bin; a singular system names its frequency bin."""
-    n_ch = a.shape[-1]
-    rhs = np.broadcast_to(np.eye(n_ch)[m], (a.shape[0], n_ch))
-    try:
-        return linalg.solve(a, rhs)
-    except SingularMatrixError as exc:
-        raise SingularMatrixError(
-            f"diagonalizer row {m}, frequency bin {bins[exc.index]}: {exc}", int(bins[exc.index])
-        ) from exc
+def update_q(state: model.SeparationState, X: np.ndarray, workers: int = 1, on_phase=None):
+    """Row-wise diagonalizer update under the rule of state.hyper.algorithm.
 
-
-def _require(ok, message, m, bins):
-    """Raise NonFiniteError naming the first bin where `ok` fails."""
-    if not ok.all():
-        idx = int(np.flatnonzero(~ok)[0])
-        raise NonFiniteError(f"{message} (diagonalizer row {m}, frequency bin {bins[idx]})")
-
-
-def _q_rows_subgaussian(state, cache, p2, workers=1, on_phase=None):
-    """update_q_subgaussian on cached frames; updates the projection powers p2."""
-    beta = state.hyper.beta
-    active = cache.active
-    n_ch, n_frames = cache.x.shape[1:]
-    if active.size == 0:
-        return
-    chi = _gain(state, active)
-    q_all = state.spatial.Q
-
-    def one_row(m, lo, hi):
-        sel = active[lo:hi]
-        q = q_all[sel]
-        x = cache.x[lo:hi]
-        u, b, pm2, w2 = _row_system(p2[lo:hi], chi[lo:hi], cache.xx[lo:hi], q, m, beta)
-        # the ray-scale step below is invariant to positive rescaling of
-        # the solve direction, so normalizing B per bin costs nothing and
-        # keeps the systems within floating-point range
-        bmax = np.abs(b).reshape(sel.size, -1).max(axis=1)
-        bn = b / bmax[:, None, None] + DIAG_LOAD * np.eye(n_ch)
-        qnew = _solve_row(_mat_mul(q, bn), m, sel)
-        pnew2 = np.abs((qnew.conj()[:, None, :] @ x)[:, 0, :]) ** 2
-        ssum = _scaled_power(pnew2, pm2, w2, beta).sum(axis=1)
-        scale = (2.0 * n_frames / (beta * ssum)) ** (1.0 / beta)
-        _require(np.isfinite(scale), "diagonalizer row scale is NaN/Inf", m, sel)
-        q_all[sel, m, :] = (qnew * scale[:, None]).conj()
-        p2[lo:hi, m, :] = pnew2 * (scale**2)[:, None]
-
-    _fan_out(one_row, n_ch, active.size, workers, state, on_phase)
-
-
-def update_q_subgaussian(
-    state: model.SeparationState,
-    X: np.ndarray,
-    workers: int = 1,
-    on_phase=None,
-):
-    """Row-wise diagonalizer update for beta in (2, 4].
-
-    Each row m is re-solved from (Q_i B_im)^{-1} e_m and then rescaled
-    along its ray so that sum_j |q^H x_j|^beta / r_j^beta = 2J/beta,
-    which is the exact minimizer of the row surrogate.  Bins with no
-    energy are left untouched.  on_phase(f"q_row_{m}", state) fires after
-    each row.
+    Bins with no energy are left untouched.  on_phase(f"q_row_{m}",
+    state) fires after each row.  `workers` only splits the frequency
+    axis, so results are independent of the worker count.
     """
     cache = FrameCache(X)
-    p2 = cache.projection_powers(state.spatial.Q)
-    _q_rows_subgaussian(state, cache, p2, workers, on_phase)
-    return state
-
-
-def _q_rows_gaussian(state, cache, p2, workers=1, on_phase=None):
-    """update_q_gaussian on cached frames; updates the projection powers p2."""
-    active = cache.active
-    n_ch, n_frames = cache.x.shape[1:]
-    if active.size == 0:
-        return
-    chi = _gain(state, active)
-    q_all = state.spatial.Q
-
-    def one_row(m, lo, hi):
-        sel = active[lo:hi]
-        u = _weighted_cov(1.0 / chi[lo:hi, m, :], cache.xx[lo:hi]) / n_frames
-        # solve against a per-bin-normalized, lightly loaded copy for
-        # conditioning; the q^H U q normalization below uses the true U
-        umax = np.abs(u).reshape(sel.size, -1).max(axis=1)
-        un = u / umax[:, None, None] + DIAG_LOAD * np.eye(n_ch)
-        qnew = _solve_row(_mat_mul(q_all[sel], un), m, sel)
-        quq = _mat_mul(_mat_mul(qnew.conj()[:, None, :], u), qnew[:, :, None])[:, 0, 0].real
-        _require(
-            (quq > 0) & np.isfinite(quq), "iterative projection normalizer is not positive", m, sel
-        )
-        qnew = qnew / np.sqrt(quq)[:, None]
-        q_all[sel, m, :] = qnew.conj()
-        p2[lo:hi, m, :] = np.abs((qnew.conj()[:, None, :] @ cache.x[lo:hi])[:, 0, :]) ** 2
-
-    _fan_out(one_row, n_ch, active.size, workers, state, on_phase)
-
-
-def update_q_gaussian(
-    state: model.SeparationState, X: np.ndarray, workers: int = 1, on_phase=None
-):
-    """Standard iterative-projection row update for the Gaussian model."""
-    cache = FrameCache(X)
-    _q_rows_gaussian(state, cache, cache.projection_powers(state.spatial.Q), workers, on_phase)
+    _q_rows(state, cache, cache.projection_powers(state.spatial.Q), workers, on_phase)
     return state
 
 
@@ -434,7 +420,6 @@ def run(
     if iters == 0:
         return state, trace
     beta = state.hyper.beta
-    update_q = _q_rows_gaussian if state.hyper.algorithm == "gaussian" else _q_rows_subgaussian
     cache = FrameCache(X)
     p2 = cache.projection_powers(state.spatial.Q)
     power = cache.power(p2)
@@ -447,7 +432,7 @@ def run(
             _sweep_tvzg(state, power, chi, on_subupdate)
             t1 = time.perf_counter()
             phase_ms["tvzg"] = (t1 - t0) * 1000.0
-            update_q(state, cache, p2, workers, on_subupdate)
+            _q_rows(state, cache, p2, workers, on_subupdate)
             t2 = time.perf_counter()
             phase_ms["q"] = (t2 - t1) * 1000.0
             normalize_and_rescale(state)

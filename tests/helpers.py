@@ -1,4 +1,6 @@
-"""Shared builders for randomized states and small synthetic scenes."""
+"""Shared builders for randomized states, small synthetic scenes and WAV bytes."""
+
+import struct
 
 import numpy as np
 
@@ -73,3 +75,14 @@ def trend_scene(seed, length=30000, rt60=0.3, tail_gain=0.05):
 def stft_16k():
     """The 64 ms / 16 ms analysis grid used throughout the tests."""
     return audio.StftConfig.from_ms(64.0, 16.0, 16000)
+
+
+def wav_bytes(payload, n_channels=1, sample_rate=8000):
+    """A PCM16 RIFF/WAVE file whose data chunk holds `payload` as given."""
+    block = 2 * n_channels
+    fmt_body = struct.pack("<HHIIHH", 1, n_channels, sample_rate, sample_rate * block, block, 16)
+    return b"".join([
+        b"RIFF", struct.pack("<I", 36 + len(payload)), b"WAVE",
+        b"fmt ", struct.pack("<I", 16), fmt_body,
+        b"data", struct.pack("<I", len(payload)), payload,
+    ])

@@ -196,7 +196,7 @@ def row_update_terms(state: model.SeparationState, X: np.ndarray, row: int):
 
 
 def post_scale_sums(state: model.SeparationState, X: np.ndarray) -> np.ndarray:
-    """Run update_q_subgaussian on state; return the post-scale sums.
+    """Run the sub-Gaussian update_q on state; return the post-scale sums.
 
     For each active bin and row m, sum_j |q_m^H x_j|^beta / r_j^beta
     with the rescaled row, shape (A, M).  The weights r come from the
@@ -220,5 +220,5 @@ def post_scale_sums(state: model.SeparationState, X: np.ndarray) -> np.ndarray:
         sums[:, m] = optimizer._scaled_power(np.abs(post) ** 2, pm2, w2, beta).sum(axis=1)
         p2_row, q_row = p2.copy(), st.spatial.Q[active]
 
-    optimizer._q_rows_subgaussian(state, cache, p2, on_phase=after_row)
+    optimizer._q_rows(state, cache, p2, on_phase=after_row)
     return sums

@@ -1,6 +1,9 @@
 """The public API: exactly the names separation, simulation and evaluation need."""
 
+import inspect
+
 import sgmnmf
+from sgmnmf import cli, config, model, optimizer, separate
 
 PUBLIC = {
     "StftConfig",
@@ -26,8 +29,7 @@ PUBLIC = {
     "IterationReport",
     "normalize_and_rescale",
     "run",
-    "update_q_gaussian",
-    "update_q_subgaussian",
+    "update_q",
     "update_tvzg",
     "SeparatedSources",
     "wiener_separate",
@@ -41,10 +43,22 @@ PUBLIC = {
 
 def test_all_is_the_public_api():
     # test oracles live in tests/oracles.py, not in the package
-    assert len(sgmnmf.__all__) == len(PUBLIC) == 33
+    assert len(sgmnmf.__all__) == len(PUBLIC) == 32
     assert set(sgmnmf.__all__) == PUBLIC
 
 
 def test_every_public_name_resolves():
     for name in sgmnmf.__all__:
         assert getattr(sgmnmf, name) is not None, name
+
+
+def test_benchmark_contract():
+    # what perfbench/ calls of the package; a change here breaks the benchmark
+    args = cli.build_parser().parse_args(["--workers", "1", "separate", "--config", "x"])
+    assert (args.workers, args.command, args.config) == (1, "separate", "x")
+    params = inspect.signature(optimizer.run).parameters
+    assert {"workers", "on_subupdate", "on_iteration"} <= set(params)
+    assert isinstance(config.parse_config({}).hyper(), model.Hyperparams)
+    fields = set(optimizer.IterationReport.__dataclass_fields__)
+    assert {"iteration", "cost_before", "cost_after"} <= fields
+    assert separate.SeparatedSources(spectra=[]).waveforms == []

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+import helpers
 from sgmnmf import audio
 from sgmnmf.errors import (
     CorruptHeaderError,
@@ -171,6 +172,25 @@ class TestWavIo:
         path.write_bytes(header + payload)
         with pytest.raises(NonFiniteError, match=r"nan\.wav: .*channel 2, sample 17\b"):
             audio.read_wav(path)
+
+    def test_partial_sample_raises(self, tmp_path):
+        path = tmp_path / "odd.wav"
+        path.write_bytes(helpers.wav_bytes(b"\x00\x01\x02"))  # 1.5 PCM16 samples
+        with pytest.raises(CorruptHeaderError, match=r"odd\.wav: .*3 bytes .*16-bit sample"):
+            audio.read_wav(path)
+
+    def test_zero_sample_rate_raises(self, tmp_path):
+        path = tmp_path / "rate.wav"
+        path.write_bytes(helpers.wav_bytes(b"\x00\x00", sample_rate=0))
+        with pytest.raises(CorruptHeaderError, match=r"rate\.wav: sample rate 0"):
+            audio.read_wav(path)
+
+    def test_partial_trailing_frame_is_dropped(self, tmp_path):
+        path = tmp_path / "frame.wav"
+        samples = np.array([1, 2, 3], dtype="<i2")  # one stereo frame and a half
+        path.write_bytes(helpers.wav_bytes(samples.tobytes(), n_channels=2))
+        wave = audio.read_wav(path)
+        np.testing.assert_array_equal(wave.data, [[1 / 32768.0, 2 / 32768.0]])
 
 
 class TestWaveform:

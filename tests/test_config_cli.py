@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+import helpers
 from sgmnmf import audio, cli, config, model, objective
 from sgmnmf.errors import ConfigError
 
@@ -109,6 +110,12 @@ class TestSceneConfig:
         with pytest.raises(ConfigError, match="seed"):
             config.parse_scene_config({"seed": -1})
 
+    @pytest.mark.parametrize("duration_s,length", [(1e-6, 0), (2 / 16000, 2)])
+    def test_duration_before_direct_path_rejected(self, duration_s, length):
+        # the default delays reach channel 1 at samples 4 and 5
+        with pytest.raises(ConfigError, match=rf"duration_s: .* {length} samples at 16000 Hz"):
+            config.parse_scene_config({"duration_s": duration_s})
+
     def test_bad_delays_become_config_error(self):
         with pytest.raises(ConfigError):
             config.parse_scene_config({"direct_delay": [[0, 1]]})  # wrong shape
@@ -151,19 +158,18 @@ class TestEvalConfig:
 
 
 class TestWorkersResolution:
-    def test_env_beats_flag(self, monkeypatch):
-        monkeypatch.setenv("SGMNMF_WORKERS", "3")
-        assert cli._resolve_workers(8) == 3
+    def test_flag_beats_default(self):
+        parser = cli.build_parser()
+        assert parser.parse_args(["--workers", "4", "separate", "--config", "x"]).workers == 4
+        assert parser.parse_args(["separate", "--config", "x"]).workers == 1
 
-    def test_flag_beats_default(self, monkeypatch):
-        monkeypatch.delenv("SGMNMF_WORKERS", raising=False)
-        assert cli._resolve_workers(4) == 4
-        assert cli._resolve_workers(None) == 1
-
-    def test_garbage_env_is_an_error(self, monkeypatch):
-        monkeypatch.setenv("SGMNMF_WORKERS", "many")
-        with pytest.raises(Exception):
-            cli._resolve_workers(None)
+    def test_worker_count_below_one_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        run_path = tmp_path / "run.json"
+        run_path.write_text(json.dumps({"paths": {"mixture": "m.wav", "out": str(out)}}))
+        assert cli.main(["--workers", "0", "separate", "--config", str(run_path)]) == 1
+        assert "error: --workers: must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -305,6 +311,31 @@ class TestPipeline:
         assert cli.main(["separate", "--config", str(run_path)]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("duration_s", [1e-6, 2 / 16000])
+    def test_rejected_scene_leaves_no_output_dir(self, tmp_path, capsys, duration_s):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"duration_s": duration_s}))
+        out = tmp_path / "scene"
+        assert cli.main(["simulate", "--spec", str(spec), "--out", str(out)]) == 1
+        assert "error: duration_s: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["separate", "evaluate"])
+    def test_malformed_wav_is_an_error(self, tmp_path, capsys, command):
+        bad = tmp_path / "odd.wav"
+        bad.write_bytes(helpers.wav_bytes(b"\x00\x01\x02"))  # 1.5 PCM16 samples
+        out = tmp_path / "o"
+        if command == "separate":
+            doc = {"paths": {"mixture": str(bad), "out": str(out)}}
+        else:
+            doc = {"estimates": [str(bad)], "references": [str(bad)],
+                   "mixture": str(bad), "out": str(out)}
+        doc_path = tmp_path / "doc.json"
+        doc_path.write_text(json.dumps(doc))
+        assert cli.main([command, "--config", str(doc_path)]) == 1
+        assert "odd.wav: data chunk of 3 bytes" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "field,doc",
         [("seed", {"seed": -1}), ("stft.hop_ms", {"stft": {"hop_ms": 0.01}})],
@@ -352,9 +383,9 @@ class TestPipeline:
         strip = lambda text: [",".join(line.split(",")[:2]) for line in text.splitlines()]
         assert strip(docs[0]) == strip(docs[1])
 
-    def test_workers_env_pipeline(self, scene_dir, tmp_path, monkeypatch):
+    def test_workers_env_pipeline(self, scene_dir, tmp_path):
         outs = []
-        for tag, env in (("w1", "1"), ("w2", "2")):
+        for tag, workers in (("w1", "1"), ("w2", "2")):
             out = tmp_path / tag
             run_doc = {
                 "iterations": 2,
@@ -363,8 +394,7 @@ class TestPipeline:
             }
             run_path = tmp_path / f"{tag}.json"
             run_path.write_text(json.dumps(run_doc))
-            monkeypatch.setenv("SGMNMF_WORKERS", env)
-            assert cli.main(["separate", "--config", str(run_path)]) == 0
+            assert cli.main(["--workers", workers, "separate", "--config", str(run_path)]) == 0
             outs.append(out)
         a = model.load_state(outs[0] / "state.json")
         b = model.load_state(outs[1] / "state.json")

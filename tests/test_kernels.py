@@ -163,14 +163,10 @@ def test_family_sums(n_ch, n_src, n_bases, algorithm, beta, name):
 def test_projections_carried_across_q_sweep(n_ch, n_src, n_bases, algorithm, beta):
     st, X = _state(250, n_ch, n_src, n_bases, beta=beta, algorithm=algorithm)
     X[2] = 0.0  # a silent bin is skipped by the sweep
-    rows = (
-        optimizer._q_rows_gaussian if algorithm == "gaussian"
-        else optimizer._q_rows_subgaussian
-    )
     cache = optimizer.FrameCache(X)
     p2 = cache.projection_powers(st.spatial.Q)
     for _ in range(2):
-        rows(st, cache, p2)
+        optimizer._q_rows(st, cache, p2)
         fresh = np.abs(model.projections(st, X)[cache.active]) ** 2
         _assert_close(p2, _cm(fresh), axes=(1, 2))
         assert np.array_equal(cache.power(p2)[2], np.zeros((n_ch, X.shape[1])))
@@ -202,16 +198,12 @@ def _failing_bin_scene(algorithm="subgaussian", beta=3.4):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize(
-    "update,algorithm,beta",
-    [(optimizer.update_q_subgaussian, "subgaussian", 3.4),
-     (optimizer.update_q_gaussian, "gaussian", 2.0)],
-)
-def test_singular_system_names_frequency_bin(update, algorithm, beta, workers):
+@pytest.mark.parametrize("algorithm,beta", [("subgaussian", 3.4), ("gaussian", 2.0)])
+def test_singular_system_names_frequency_bin(algorithm, beta, workers):
     st, X = _failing_bin_scene(algorithm, beta)
     st.spatial.Q[3, 1, :] = 0.0  # Q_3 singular: every row system there is too
     with pytest.raises(SingularMatrixError, match=r"row 0, frequency bin 3\b") as info:
-        update(st, X, workers=workers)
+        optimizer.update_q(st, X, workers=workers)
     assert info.value.index == 3
 
 
@@ -232,11 +224,11 @@ def test_nonfinite_row_scale_names_frequency_bin(monkeypatch):
     st, X = _failing_bin_scene()
     _poison_solve(monkeypatch, 2, np.nan)
     with pytest.raises(NonFiniteError, match=r"row 0, frequency bin 3\b"):
-        optimizer.update_q_subgaussian(st, X)
+        optimizer.update_q(st, X)
 
 
 def test_nonpositive_normalizer_names_frequency_bin(monkeypatch):
     st, X = _failing_bin_scene("gaussian", 2.0)
     _poison_solve(monkeypatch, 2, 0.0)
     with pytest.raises(NonFiniteError, match=r"normalizer.*row 0, frequency bin 3\b"):
-        optimizer.update_q_gaussian(st, X)
+        optimizer.update_q(st, X)

@@ -126,7 +126,7 @@ class TestDiagonalizerUpdates:
         X = helpers.random_mixture(rng, 5, 7, 2)
         X[2] = 0.0
         q_before = st.spatial.Q[2].copy()
-        optimizer.update_q_subgaussian(st, X)
+        optimizer.update_q(st, X)
         np.testing.assert_array_equal(st.spatial.Q[2], q_before)
         assert np.isfinite(st.spatial.Q).all()
 
@@ -135,7 +135,7 @@ class TestDiagonalizerUpdates:
         rng = np.random.default_rng(123)
         st = helpers.random_state(rng, n_bins=4, n_frames=9, beta=2.0, algorithm="gaussian")
         X = helpers.random_mixture(rng, 4, 9, 2)
-        optimizer.update_q_gaussian(st, X)
+        optimizer.update_q(st, X)
         chi = model.mixture_gain(st)
         for i in range(4):
             for m in range(2):
@@ -145,12 +145,14 @@ class TestDiagonalizerUpdates:
                 val = (q.conj() @ u @ q).real
                 assert val == pytest.approx(1.0, rel=1e-10)
 
-    def test_worker_count_does_not_change_results(self):
+    @pytest.mark.parametrize("algorithm,beta", [("subgaussian", 3.4), ("gaussian", 2.0)])
+    def test_worker_count_does_not_change_results(self, algorithm, beta):
         rng = np.random.default_rng(124)
         results = []
         for workers in (1, 2, 3):
             st = helpers.random_state(
-                np.random.default_rng(7), n_bins=6, n_frames=8, n_channels=2, iterations=3
+                np.random.default_rng(7), n_bins=6, n_frames=8, n_channels=2, iterations=3,
+                beta=beta, algorithm=algorithm,
             )
             X = helpers.random_mixture(np.random.default_rng(8), 6, 8, 2)
             st, trace = optimizer.run(st, X, workers=workers)
