@@ -54,14 +54,11 @@ class Waveform:
 class StftConfig:
     window_length: int = 1024
     hop: int = 256
-    window_kind: str = "hamming"
 
     # fft_length is tied to window_length (one-sided transform)
     def __post_init__(self):
         if not (0 < self.hop <= self.window_length):
             raise ValueError(f"need 0 < hop <= window_length, got hop={self.hop}")
-        if self.window_kind != "hamming":
-            raise ValueError(f"unsupported window kind {self.window_kind!r}")
 
     @property
     def fft_length(self):

@@ -27,7 +27,6 @@ def _load_json(path):
 def cmd_simulate(spec_path, out_dir):
     scene = config.parse_scene_config(_load_json(spec_path))
     room = scene.room
-    length = int(round(scene.duration_s * room.sample_rate))
     dries = []
     source_seeds = []
     for n in range(room.n_sources):
@@ -35,7 +34,7 @@ def cmd_simulate(spec_path, out_dir):
         source_seeds.append(seed)
         dries.append(
             simulate.gen_subgaussian_source(
-                length, scene.source_kinds[n], seed, sample_rate=room.sample_rate
+                scene.n_samples, scene.source_kinds[n], seed, sample_rate=room.sample_rate
             )
         )
     rirs = simulate.synth_rir(room)

@@ -1,15 +1,25 @@
 """JSON configuration documents for the three CLI workflows.
 
 Every parser rejects unknown keys and reports violations with the
-offending field path (e.g. "stft.hop_ms").
+offending field path (e.g. "stft.hop_ms"); numbers must be finite.
+Field names and defaults come from the dataclasses that own them,
+model.Hyperparams and simulate.RoomSpec; the literals below are the
+defaults no dataclass owns (the Gaussian's beta, stft, trace, the
+scene's duration_s, source_kind and snr_db, and the eval document's).
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass, fields
 
 from .audio import StftConfig
 from .errors import ConfigError, DimensionMismatchError
 from .model import Hyperparams
 from .simulate import RoomSpec
+
+
+# field name -> declared default
+_HYPER = {f.name: f.default for f in fields(Hyperparams)}
+_ROOM = {f.name: f.default for f in fields(RoomSpec)}
 
 
 def _reject_unknown(doc, known, prefix=""):
@@ -22,7 +32,12 @@ def _get_number(doc, key, default, prefix="", minimum=None, strict_min=None):
     val = doc.get(key, default)
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{prefix}{key}", f"expected a number, got {val!r}")
-    val = float(val)
+    try:
+        val = float(val)
+    except OverflowError:  # an integer beyond the float range
+        val = math.inf if val > 0 else -math.inf
+    if not math.isfinite(val):  # json reads NaN and Infinity
+        raise ConfigError(f"{prefix}{key}", f"must be finite, got {val}")
     if minimum is not None and val < minimum:
         raise ConfigError(f"{prefix}{key}", f"must be >= {minimum}, got {val}")
     if strict_min is not None and val <= strict_min:
@@ -57,29 +72,21 @@ def _get_bool(doc, key, default, prefix=""):
 
 @dataclass
 class RunConfig:
-    algorithm: str = "subgaussian"
-    beta: float = 4.0
-    n_sources: int = 2
-    n_bases: int = 20
-    iterations: int = 200
-    seed: int = 0
-    window_ms: float = 64.0
-    hop_ms: float = 16.0
-    floor_eps: float = 1e-12
-    mixture: str = None
-    out: str = None
-    trace: bool = True
+    algorithm: str
+    beta: float
+    n_sources: int
+    n_bases: int
+    iterations: int
+    seed: int
+    window_ms: float
+    hop_ms: float
+    floor_eps: float
+    mixture: str
+    out: str
+    trace: bool
 
     def hyper(self) -> Hyperparams:
-        return Hyperparams(
-            beta=self.beta,
-            n_sources=self.n_sources,
-            n_bases=self.n_bases,
-            iterations=self.iterations,
-            floor_eps=self.floor_eps,
-            seed=self.seed,
-            algorithm=self.algorithm,
-        )
+        return Hyperparams(**{name: getattr(self, name) for name in _HYPER})
 
     def stft_config(self, sample_rate: int) -> StftConfig:
         # hop_ms <= window_ms, so a hop of one sample or more keeps the window >= the hop
@@ -92,25 +99,11 @@ def parse_config(doc: dict) -> RunConfig:
     """Separation run document -> RunConfig, all fields defaulted."""
     if not isinstance(doc, dict):
         raise ConfigError("", "top-level config must be a JSON object")
-    _reject_unknown(
-        doc,
-        {
-            "algorithm",
-            "beta",
-            "n_sources",
-            "n_bases",
-            "iterations",
-            "seed",
-            "stft",
-            "floor_eps",
-            "paths",
-            "trace",
-        },
-    )
+    _reject_unknown(doc, _HYPER.keys() | {"stft", "paths", "trace"})
     algorithm = _get_str(
-        doc, "algorithm", "subgaussian", choices={"subgaussian", "gaussian"}
+        doc, "algorithm", _HYPER["algorithm"], choices={"subgaussian", "gaussian"}
     )
-    default_beta = 2.0 if algorithm == "gaussian" else 4.0
+    default_beta = 2.0 if algorithm == "gaussian" else _HYPER["beta"]
     beta = _get_number(doc, "beta", default_beta)
     try:
         Hyperparams(algorithm=algorithm, beta=beta)
@@ -134,13 +127,13 @@ def parse_config(doc: dict) -> RunConfig:
     return RunConfig(
         algorithm=algorithm,
         beta=beta,
-        n_sources=_get_int(doc, "n_sources", 2, minimum=1),
-        n_bases=_get_int(doc, "n_bases", 20, minimum=1),
-        iterations=_get_int(doc, "iterations", 200, minimum=0),
-        seed=_get_int(doc, "seed", 0, minimum=0),
+        n_sources=_get_int(doc, "n_sources", _HYPER["n_sources"], minimum=1),
+        n_bases=_get_int(doc, "n_bases", _HYPER["n_bases"], minimum=1),
+        iterations=_get_int(doc, "iterations", _HYPER["iterations"], minimum=0),
+        seed=_get_int(doc, "seed", _HYPER["seed"], minimum=0),
         window_ms=window_ms,
         hop_ms=hop_ms,
-        floor_eps=_get_number(doc, "floor_eps", 1e-12, strict_min=0.0),
+        floor_eps=_get_number(doc, "floor_eps", _HYPER["floor_eps"], strict_min=0.0),
         mixture=_get_str(paths_doc, "mixture", None, prefix="paths."),
         out=_get_str(paths_doc, "out", None, prefix="paths."),
         trace=_get_bool(doc, "trace", True),
@@ -154,54 +147,35 @@ class SceneConfig:
     source_kinds: list
     snr_db: float
 
+    @property
+    def n_samples(self) -> int:
+        return int(round(self.duration_s * self.room.sample_rate))
+
     def to_dict(self):
-        return {
-            "n_sources": self.room.n_sources,
-            "n_mics": self.room.n_mics,
-            "rt60": self.room.rt60,
-            "direct_delay": self.room.direct_delay.tolist(),
-            "filter_length": self.room.filter_length,
-            "seed": self.room.seed,
-            "sample_rate": self.room.sample_rate,
-            "tail_gain": self.room.tail_gain,
-            "duration_s": self.duration_s,
-            "source_kind": list(self.source_kinds),
-            "snr_db": self.snr_db,
-        }
+        doc = asdict(self.room)
+        doc["direct_delay"] = self.room.direct_delay.tolist()
+        doc["duration_s"] = self.duration_s
+        doc["source_kind"] = list(self.source_kinds)
+        doc["snr_db"] = self.snr_db
+        return doc
 
 
 def parse_scene_config(doc: dict) -> SceneConfig:
     """Scene document -> RoomSpec plus source/duration settings."""
     if not isinstance(doc, dict):
         raise ConfigError("", "top-level scene must be a JSON object")
-    _reject_unknown(
-        doc,
-        {
-            "n_sources",
-            "n_mics",
-            "rt60",
-            "direct_delay",
-            "filter_length",
-            "seed",
-            "sample_rate",
-            "tail_gain",
-            "duration_s",
-            "source_kind",
-            "snr_db",
-        },
-    )
-    n_sources = _get_int(doc, "n_sources", 2, minimum=1)
-    delays = doc.get("direct_delay")
+    _reject_unknown(doc, _ROOM.keys() | {"duration_s", "source_kind", "snr_db"})
+    n_sources = _get_int(doc, "n_sources", _ROOM["n_sources"], minimum=1)
     try:
         room = RoomSpec(
             n_sources=n_sources,
-            n_mics=_get_int(doc, "n_mics", 2, minimum=1),
-            rt60=_get_number(doc, "rt60", 0.3, minimum=0.0),
-            direct_delay=delays,
-            filter_length=_get_int(doc, "filter_length", 4800, minimum=1),
-            seed=_get_int(doc, "seed", 0, minimum=0),
-            sample_rate=_get_int(doc, "sample_rate", 16000, minimum=1),
-            tail_gain=_get_number(doc, "tail_gain", 0.05, minimum=0.0),
+            n_mics=_get_int(doc, "n_mics", _ROOM["n_mics"], minimum=1),
+            rt60=_get_number(doc, "rt60", _ROOM["rt60"], minimum=0.0),
+            direct_delay=doc.get("direct_delay", _ROOM["direct_delay"]),
+            filter_length=_get_int(doc, "filter_length", _ROOM["filter_length"], minimum=1),
+            seed=_get_int(doc, "seed", _ROOM["seed"], minimum=0),
+            sample_rate=_get_int(doc, "sample_rate", _ROOM["sample_rate"], minimum=1),
+            tail_gain=_get_number(doc, "tail_gain", _ROOM["tail_gain"], minimum=0.0),
         )
     except (ValueError, TypeError, DimensionMismatchError) as exc:
         raise ConfigError("direct_delay", str(exc)) from exc
@@ -217,23 +191,22 @@ def parse_scene_config(doc: dict) -> SceneConfig:
         if kind not in ("uniform_iid", "am_tone"):
             raise ConfigError(f"source_kind[{idx}]", f"unknown kind {kind!r}")
 
-    duration_s = _get_number(doc, "duration_s", 2.0, strict_min=0.0)
-    # mix balances the sources' powers at channel 1, so every source must
-    # reach it: a scene that ends before a direct path has a zero image
-    length = int(round(duration_s * room.sample_rate))
-    arrival = int(room.direct_delay[:, 0].max())
-    if length <= arrival:
-        raise ConfigError(
-            "duration_s",
-            f"{duration_s} s is {length} samples at {room.sample_rate} Hz, which ends "
-            f"before a direct path reaches channel 1 at sample {arrival}",
-        )
-    return SceneConfig(
+    scene = SceneConfig(
         room=room,
-        duration_s=duration_s,
+        duration_s=_get_number(doc, "duration_s", 2.0, strict_min=0.0),
         source_kinds=kinds,
         snr_db=_get_number(doc, "snr_db", 0.0),
     )
+    # mix balances the sources' powers at channel 1, so every source must
+    # reach it: a scene that ends before a direct path has a zero image
+    arrival = int(room.direct_delay[:, 0].max())
+    if scene.n_samples <= arrival:
+        raise ConfigError(
+            "duration_s",
+            f"{scene.duration_s} s is {scene.n_samples} samples at {room.sample_rate} Hz, "
+            f"which ends before a direct path reaches channel 1 at sample {arrival}",
+        )
+    return scene
 
 
 @dataclass
@@ -249,9 +222,7 @@ def parse_eval_config(doc: dict) -> EvalConfig:
     """Evaluation document -> file lists plus the scoring channel."""
     if not isinstance(doc, dict):
         raise ConfigError("", "top-level eval config must be a JSON object")
-    _reject_unknown(
-        doc, {"estimates", "references", "mixture", "ref_channel", "out"}
-    )
+    _reject_unknown(doc, {f.name for f in fields(EvalConfig)})
     for key in ("estimates", "references"):
         val = doc.get(key)
         if not isinstance(val, list) or not val or not all(

@@ -13,13 +13,11 @@ or frames is one matmul and the channel sums run over contiguous rows.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteError
-
-DEFAULT_FLOOR = 1e-12
 
 
 @dataclass
@@ -28,7 +26,7 @@ class Hyperparams:
     n_sources: int = 2
     n_bases: int = 20
     iterations: int = 200
-    floor_eps: float = DEFAULT_FLOOR
+    floor_eps: float = 1e-12
     seed: int = 0
     algorithm: str = "subgaussian"
 
@@ -39,8 +37,8 @@ class Hyperparams:
             raise ValueError(f"subgaussian path requires 2 < beta <= 4, got {self.beta}")
         if self.algorithm == "gaussian" and self.beta != 2.0:
             raise ValueError(f"gaussian path fixes beta = 2, got {self.beta}")
-        if self.floor_eps <= 0:
-            raise ValueError("floor_eps must be positive")
+        if not 0 < self.floor_eps < np.inf:
+            raise ValueError(f"floor_eps must be positive and finite, got {self.floor_eps}")
         if self.n_sources < 1 or self.n_bases < 1:
             raise ValueError("n_sources and n_bases must be at least 1")
         if self.iterations < 0:
@@ -222,15 +220,7 @@ def save_state(state: SeparationState, path):
     doc = {
         "format": "sgmnmf-state",
         "version": 1,
-        "hyper": {
-            "beta": state.hyper.beta,
-            "n_sources": state.hyper.n_sources,
-            "n_bases": state.hyper.n_bases,
-            "iterations": state.hyper.iterations,
-            "floor_eps": state.hyper.floor_eps,
-            "seed": state.hyper.seed,
-            "algorithm": state.hyper.algorithm,
-        },
+        "hyper": asdict(state.hyper),
         "arrays": {
             "t": _pack(state.source.T),
             "v": _pack(state.source.V),

@@ -397,24 +397,20 @@ class IterationReport:
 def run(
     state: model.SeparationState,
     X: np.ndarray,
-    hyper: model.Hyperparams = None,
     workers: int = 1,
     on_subupdate=None,
     on_iteration=None,
 ):
-    """Run the configured iteration count; returns (state, trace).
+    """Run state.hyper.iterations iterations; returns (state, trace).
 
-    `hyper` overrides state.hyper when given.  on_subupdate(name, state)
-    fires after every sub-update ('t', 'v', 'z', 'g', 'q_row_<m>',
-    'normalize'); on_iteration(report) after each full iteration.
+    on_subupdate(name, state) fires after every sub-update ('t', 'v',
+    'z', 'g', 'q_row_<m>', 'normalize'); on_iteration(report) after
+    each full iteration.
     `workers` only splits the frequency axis, so results are independent
     of the worker count.  A NonFiniteError or SingularMatrixError raised
     by an iteration is re-raised as the same type, prefixed with
     "iteration N: ".
     """
-    if hyper is not None:
-        state.hyper = hyper
-        state.validate()
     trace = objective.CostTrace()
     iters = state.hyper.iterations
     if iters == 0:

@@ -151,6 +151,14 @@ def mix(dries, rirs: np.ndarray, snr_db: float = 0.0) -> MixtureBundle:
     length = lengths.pop()
     sample_rate = dries[0].sample_rate
 
+    for n in range(n_src):
+        # the exact channel-1 image starts at the dry's first nonzero sample
+        # plus the filter's first nonzero tap; the FFT leaves rounding noise
+        # where it is zero, so its power cannot tell
+        dry_nz, tap_nz = np.flatnonzero(dries[n].channel(0)), np.flatnonzero(rirs[n, 0])
+        if not (dry_nz.size and tap_nz.size and dry_nz[0] + tap_nz[0] < length):
+            raise EmptyInputError(f"source {n} image has zero power at channel 1")
+
     n_fft = _fft_len(length + rirs.shape[2] - 1)
     images = np.empty((n_src, length, n_mic))
     for n in range(n_src):
@@ -163,10 +171,7 @@ def mix(dries, rirs: np.ndarray, snr_db: float = 0.0) -> MixtureBundle:
 
     scaled_dries = []
     for n in range(n_src):
-        power = np.mean(images[n, :, 0] ** 2)
-        if power == 0.0:
-            raise EmptyInputError(f"source {n} image has zero power at channel 1")
-        gain = 1.0 / np.sqrt(power)
+        gain = 1.0 / np.sqrt(np.mean(images[n, :, 0] ** 2))
         if n > 0:
             gain *= 10.0 ** (-snr_db / 20.0)
         images[n] *= gain

@@ -1,9 +1,10 @@
 """The public API: exactly the names separation, simulation and evaluation need."""
 
+import dataclasses
 import inspect
 
 import sgmnmf
-from sgmnmf import cli, config, model, optimizer, separate
+from sgmnmf import audio, cli, config, model, optimizer, separate
 
 PUBLIC = {
     "StftConfig",
@@ -58,7 +59,11 @@ def test_benchmark_contract():
     assert (args.workers, args.command, args.config) == (1, "separate", "x")
     params = inspect.signature(optimizer.run).parameters
     assert {"workers", "on_subupdate", "on_iteration"} <= set(params)
-    assert isinstance(config.parse_config({}).hyper(), model.Hyperparams)
+    cfg = config.parse_config({"paths": {"mixture": "m.wav", "out": "o"}})
+    assert (cfg.mixture, cfg.out, cfg.trace) == ("m.wav", "o", True)
+    assert isinstance(cfg.stft_config(16000), audio.StftConfig)
+    assert isinstance(cfg.hyper(), model.Hyperparams)
+    assert dataclasses.replace(cfg.hyper(), iterations=3).iterations == 3
     fields = set(optimizer.IterationReport.__dataclass_fields__)
     assert {"iteration", "cost_before", "cost_after"} <= fields
     assert separate.SeparatedSources(spectra=[]).waveforms == []

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -77,6 +78,24 @@ class TestRunConfig:
         assert cfg.mixture == "in.wav"
         assert cfg.out == "outdir"
 
+    def test_documented_defaults_equal_empty_document(self):
+        # every key of the README's run table, at its documented default
+        doc = {
+            "algorithm": "subgaussian",
+            "beta": 4.0,
+            "n_sources": 2,
+            "n_bases": 20,
+            "iterations": 200,
+            "seed": 0,
+            "stft": {"window_ms": 64, "hop_ms": 16},
+            "floor_eps": 1e-12,
+            "paths": {},
+            "trace": True,
+        }
+        assert config.parse_config(doc) == config.parse_config({})
+        gaussian = {"algorithm": "gaussian"}
+        assert config.parse_config({**gaussian, "beta": 2.0}) == config.parse_config(gaussian)
+
     def test_hyper_mirrors_fields(self):
         cfg = config.parse_config({"beta": 3.0, "n_bases": 7, "seed": 5})
         h = cfg.hyper()
@@ -128,6 +147,65 @@ class TestSceneConfig:
         assert doc["direct_delay"] == [[4, 5], [5, 7]]
 
 
+    def test_documented_defaults_equal_empty_document(self):
+        # every key of the README's scene table, at its documented default
+        doc = {
+            "n_sources": 2,
+            "n_mics": 2,
+            "rt60": 0.3,
+            "direct_delay": [[4, 5], [5, 7]],
+            "filter_length": 4800,
+            "seed": 0,
+            "sample_rate": 16000,
+            "tail_gain": 0.05,
+            "duration_s": 2.0,
+            "source_kind": "am_tone",
+            "snr_db": 0.0,
+        }
+        assert config.parse_scene_config(doc).to_dict() == config.parse_scene_config({}).to_dict()
+
+    def test_to_dict_key_order(self):
+        # the layout of scene.json
+        assert list(config.parse_scene_config({}).to_dict()) == [
+            "n_sources",
+            "n_mics",
+            "rt60",
+            "direct_delay",
+            "filter_length",
+            "seed",
+            "sample_rate",
+            "tail_gain",
+            "duration_s",
+            "source_kind",
+            "snr_db",
+        ]
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "parse,doc,field",
+    [
+        (config.parse_config, {"floor_eps": NAN}, "floor_eps"),
+        (config.parse_config, {"floor_eps": INF}, "floor_eps"),
+        (config.parse_config, {"stft": {"window_ms": INF, "hop_ms": INF}}, "stft.window_ms"),
+        (config.parse_config, {"stft": {"hop_ms": NAN}}, "stft.hop_ms"),
+        (config.parse_scene_config, {"duration_s": NAN}, "duration_s"),
+        (config.parse_scene_config, {"duration_s": INF}, "duration_s"),
+        (config.parse_scene_config, {"duration_s": 10**400}, "duration_s"),
+        (config.parse_scene_config, {"rt60": NAN}, "rt60"),
+        (config.parse_scene_config, {"tail_gain": NAN}, "tail_gain"),
+        (config.parse_scene_config, {"snr_db": NAN}, "snr_db"),
+        (config.parse_scene_config, {"snr_db": -INF}, "snr_db"),
+    ],
+)
+def test_non_finite_number_rejected(parse, doc, field):
+    # json.loads reads NaN and Infinity
+    with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: must be finite"):
+        parse(doc)
+
+
 class TestEvalConfig:
     def test_minimal_document(self):
         cfg = config.parse_eval_config(
@@ -139,6 +217,11 @@ class TestEvalConfig:
         )
         assert cfg.ref_channel == 0
         assert cfg.out == "."
+
+    def test_documented_defaults_equal_minimal_document(self):
+        doc = {"estimates": ["a.wav"], "references": ["b.wav"], "mixture": "m.wav"}
+        full = {**doc, "ref_channel": 0, "out": "."}
+        assert config.parse_eval_config(full) == config.parse_eval_config(doc)
 
     def test_count_mismatch_rejected(self):
         with pytest.raises(ConfigError, match="references"):
@@ -311,7 +394,7 @@ class TestPipeline:
         assert cli.main(["separate", "--config", str(run_path)]) == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("duration_s", [1e-6, 2 / 16000])
+    @pytest.mark.parametrize("duration_s", [1e-6, 2 / 16000, float("inf"), float("nan")])
     def test_rejected_scene_leaves_no_output_dir(self, tmp_path, capsys, duration_s):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"duration_s": duration_s}))

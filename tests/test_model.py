@@ -31,7 +31,15 @@ class TestHyperparams:
             model.Hyperparams(algorithm="tempered")
 
     @pytest.mark.parametrize(
-        "kwargs", [{"n_sources": 0}, {"n_bases": 0}, {"iterations": -1}, {"floor_eps": 0.0}]
+        "kwargs",
+        [
+            {"n_sources": 0},
+            {"n_bases": 0},
+            {"iterations": -1},
+            {"floor_eps": 0.0},
+            {"floor_eps": float("nan")},
+            {"floor_eps": float("inf")},
+        ],
     )
     def test_positive_counts(self, kwargs):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import pytest
 import helpers
 import oracles
 from sgmnmf import model, objective, optimizer
-from sgmnmf.errors import DimensionMismatchError, NonFiniteError, SingularMatrixError
+from sgmnmf.errors import NonFiniteError, SingularMatrixError
 
 
 class TestSubupdateDescent:
@@ -216,14 +216,6 @@ class TestRun:
         _, trace = optimizer.run(st, X, on_iteration=reports.append)
         assert trace.iterations == [1, 2, 3, 4]
         assert trace.costs == [r.cost_after for r in reports]
-
-    def test_hyper_override_revalidates(self):
-        rng = np.random.default_rng(144)
-        st = helpers.random_state(rng, n_bases=3)
-        X = helpers.random_mixture(rng)
-        other = model.Hyperparams(n_bases=5, iterations=1)
-        with pytest.raises(DimensionMismatchError):
-            optimizer.run(st, X, hyper=other)
 
     def test_all_zero_input_stays_finite(self):
         rng = np.random.default_rng(145)

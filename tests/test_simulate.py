@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from sgmnmf import simulate
+from sgmnmf import audio, simulate
 from sgmnmf.errors import DimensionMismatchError, EmptyInputError
 
 
@@ -182,8 +182,6 @@ class TestMix:
         # spatial covariance of each image must be far from rank one:
         # reverberant images are full-rank, which is what the full-rank
         # spatial model is meant to capture
-        from sgmnmf import audio
-
         bundle = self._bundle(seed=5)
         cfg = audio.StftConfig()
         for image in bundle.images:
@@ -193,6 +191,23 @@ class TestMix:
             active = eig[:, -1] > 1e-6 * eig[:, -1].max()
             ratio = eig[active, 0] / eig[active, -1]
             assert np.median(ratio) > 0.01
+
+    @pytest.mark.parametrize(
+        "dry,delay,empty",
+        [([0.5, -0.25], 4, True), ([0.0, 0.5], 1, True), ([0.0, 0.5], 0, False)],
+    )
+    def test_zero_image_is_decided_from_supports(self, dry, delay, empty):
+        # source 0's channel-1 image is zero exactly when its first nonzero
+        # dry sample plus its first nonzero tap reaches the dry length; the
+        # FFT's rounding noise there must not be balanced up to unit power
+        spec = simulate.RoomSpec(direct_delay=[[delay, 1], [0, 1]])
+        dries = [audio.Waveform(16000, np.array(dry)), audio.Waveform(16000, np.ones(2))]
+        if empty:
+            with pytest.raises(EmptyInputError, match="source 0 "):
+                simulate.mix(dries, simulate.synth_rir(spec))
+        else:
+            bundle = simulate.mix(dries, simulate.synth_rir(spec))
+            assert np.mean(bundle.images[0].channel(0) ** 2) == pytest.approx(1.0)
 
     def test_mismatched_dry_count_raises(self):
         spec = simulate.RoomSpec()
