@@ -11,7 +11,7 @@ import os
 import sys
 
 from . import audio, config, metrics, model, optimizer, separate, simulate
-from .errors import DimensionMismatchError, SgmnmfError
+from .errors import ConfigError, DimensionMismatchError, SgmnmfError
 
 
 def _load_json(path):
@@ -61,6 +61,12 @@ def cmd_separate(cfg: config.RunConfig, workers: int = 1):
             f"{cfg.mixture}: separation needs >= 2 channels, got {wave.n_channels}"
         )
     stft_cfg = cfg.stft_config(wave.sample_rate)
+    if stft_cfg.window_length > wave.n_samples:
+        raise ConfigError(
+            "stft.window_ms",
+            f"{cfg.window_ms} ms is {stft_cfg.window_length} samples, longer than the "
+            f"{wave.n_samples}-sample mixture",
+        )
     # a rejected input leaves no directory; an unwritable one fails before the run
     out_dir = cfg.out if cfg.out is not None else "."
     os.makedirs(out_dir, exist_ok=True)

@@ -89,6 +89,12 @@ class RunConfig:
         return Hyperparams(**{name: getattr(self, name) for name in _HYPER})
 
     def stft_config(self, sample_rate: int) -> StftConfig:
+        for name in ("window_ms", "hop_ms"):
+            ms = getattr(self, name)
+            if not math.isfinite(ms * sample_rate / 1000.0):
+                raise ConfigError(
+                    f"stft.{name}", f"{ms} ms overflows a sample count at {sample_rate} Hz"
+                )
         # hop_ms <= window_ms, so a hop of one sample or more keeps the window >= the hop
         if int(round(self.hop_ms * sample_rate / 1000.0)) == 0:
             raise ConfigError("stft.hop_ms", f"{self.hop_ms} ms is 0 samples at {sample_rate} Hz")

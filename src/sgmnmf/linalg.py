@@ -1,14 +1,20 @@
 """Checked dense complex linear algebra for the optimizer.
 
-Both routines accept a single matrix ``(M, M)`` or a stack ``(..., M, M)``
-and hand the work to numpy's LAPACK gufuncs.  Before that, one shared
-check rejects numerically singular matrices: A is singular when
+Both routines accept a single matrix ``(M, M)`` or a stack ``(..., M, M)``.
+One shared check rejects numerically singular matrices: A is singular when
 
     |det A| <= RTOL * prod_k ||a_k||        (a_k the columns of A).
 
 By Hadamard's inequality this ratio lies in [0, 1], and rescaling a
 column does not change it, so systems that are badly scaled but well
-conditioned still solve.
+conditioned still solve.  The check is made with every column scaled to
+a unit largest entry, so neither the norms nor the determinant over- or
+underflow.
+
+At M = 2 (the operating point) the solution and det A come in closed
+form from one set of cofactor products of those scaled columns, which
+also give the check its determinant.  Other sizes hand the work to
+numpy's LAPACK gufuncs (slogdet for the check, then solve).
 """
 
 import numpy as np
@@ -20,44 +26,94 @@ from .errors import DimensionMismatchError, SingularMatrixError
 RTOL = 1e-15
 
 
-def _check(a):
-    """(a as complex128, log|det a|); raises SingularMatrixError."""
+def _validated(a):
+    """a as a complex128 stack of square, finite matrices."""
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatchError(f"expected square matrix stack, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
-    _, logdet = np.linalg.slogdet(a)
-    # entries as (row, column, ...): the reductions below then run over
-    # leading axes, which numpy does much faster than over short inner ones
-    mag = np.abs(np.moveaxis(a, (-2, -1), (0, 1)), order="C")
-    # the ratio is compared with every column scaled to unit largest entry,
-    # so neither the norms nor the determinant over- or underflow; a zero
-    # column keeps scale 1 and gives 0 <= 0 without a division by zero
-    scale = mag.max(axis=0)
-    scale = np.where(scale > 0, scale, 1.0)
-    norms = np.sqrt(((mag / scale) ** 2).sum(axis=0).prod(axis=0))
-    bad = np.exp(logdet - np.log(scale).sum(axis=0)) <= RTOL * norms
+    return a
+
+
+def _scaled_columns(a):
+    """(entries, squared column norms, 1 / column scales) of a, each column
+    scaled to a unit largest entry.
+
+    Entries come as (row, column, ...), norms and scales as (column, ...):
+    with the batch axes last, the reductions run over leading axes, which
+    numpy does much faster than over short inner ones.  The scale is
+    floored at the smallest normal number, so its reciprocal stays finite
+    for subnormal columns and a zero column gives the check 0 <= 0.
+    """
+    e = np.moveaxis(a, (-2, -1), (0, 1)).copy()
+    mag = np.abs(e)
+    inv_scale = mag.max(axis=0)
+    np.maximum(inv_scale, np.finfo(np.float64).tiny, out=inv_scale)
+    np.divide(1.0, inv_scale, out=inv_scale)
+    e *= inv_scale
+    mag *= inv_scale
+    mag *= mag
+    return e, mag.sum(axis=0), inv_scale
+
+
+def _require_regular(abs_det, norms2):
+    """Raise SingularMatrixError at the first matrix failing the Hadamard ratio.
+
+    abs_det is |det| of the column-scaled matrices and norms2 their
+    squared column norms, (M, ...).
+    """
+    bad = abs_det <= RTOL * np.sqrt(norms2.prod(axis=0))
     if bad.any():
         idx = int(np.flatnonzero(bad)[0])
         raise SingularMatrixError(
             f"|det| at most {RTOL:g} x the product of the column norms (batch index {idx})",
             index=idx,
         )
-    return a, logdet
+
+
+def _factor_2x2(a):
+    """(scaled entries (2, 2, ...), their det, 1 / column scales (2, ...)); checked."""
+    e, norms2, inv_scale = _scaled_columns(a)
+    det = e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]
+    _require_regular(np.abs(det), norms2)
+    return e, det, inv_scale
+
+
+def _checked_slogdet(a):
+    """log|det a| from LAPACK, for any size; checked."""
+    _, logdet = np.linalg.slogdet(a)
+    _, norms2, inv_scale = _scaled_columns(a)
+    _require_regular(np.exp(logdet + np.log(inv_scale).sum(axis=0)), norms2)
+    return logdet
 
 
 def solve(a, b):
     """Solve A x = b for square A (stacked); b is (..., M) or (..., M, R)."""
-    a, _ = _check(a)
+    a = _validated(a)
     b = np.asarray(b)
     vector = b.ndim == a.ndim - 1
     if b.shape[-1 if vector else -2] != a.shape[-1]:
         raise DimensionMismatchError(f"rhs shape {b.shape} does not fit matrix size {a.shape[-1]}")
-    x = np.linalg.solve(a, b[..., None] if vector else b)
+    bm = b[..., None] if vector else b
+    if a.shape[-1] == 2:
+        # A = E diag(s): x = diag(1/s) adj(E) b / det E, per right-hand column
+        e, det, inv_scale = _factor_2x2(a)
+        e = e[..., None]
+        c = (inv_scale / det)[..., None]
+        b0, b1 = bm[..., 0, :], bm[..., 1, :]
+        x0 = (e[1, 1] * b0 - e[0, 1] * b1) * c[0]
+        x = np.stack([x0, (e[0, 0] * b1 - e[1, 0] * b0) * c[1]], axis=-2)
+    else:
+        _checked_slogdet(a)
+        x = np.linalg.solve(a, bm)
     return x[..., 0] if vector else x
 
 
 def log_abs_det(a):
     """log|det A|, a scalar per matrix in the stack."""
-    return _check(a)[1]
+    a = _validated(a)
+    if a.shape[-1] == 2:
+        _, det, inv_scale = _factor_2x2(a)
+        return np.log(np.abs(det)) - np.log(inv_scale).sum(axis=0)
+    return _checked_slogdet(a)

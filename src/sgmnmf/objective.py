@@ -22,20 +22,18 @@ def cost_ggd_jd(state: model.SeparationState, X: np.ndarray) -> float:
     + sum_ij (sum_m |p_ijm|^2 / chi_ijm)^{beta/2}
     """
     p2 = np.abs(model.projections(state, X)) ** 2
-    chi = model.mixture_gain(state)
-    return jd_cost(
-        state.spatial.Q, p2.transpose(0, 2, 1), chi.transpose(0, 2, 1), state.hyper.beta
-    )
+    chi = model.mixture_gain(state).transpose(0, 2, 1)
+    y = model.sum_channels(p2.transpose(0, 2, 1) / chi)
+    return jd_cost(state.spatial.Q, y, chi, state.hyper.beta)
 
 
-def jd_cost(q: np.ndarray, p2: np.ndarray, chi: np.ndarray, beta: float) -> float:
-    """cost_ggd_jd from |p|^2 and chi in channel-major layout (I, M, J).
+def jd_cost(q: np.ndarray, y: np.ndarray, chi: np.ndarray, beta: float) -> float:
+    """cost_ggd_jd from y = sum_m |p_m|^2 / chi_m, (I, J), and chi.
 
-    The optimizer carries both quantities across sub-updates, so its
-    per-iteration cost recomputes neither.
+    The optimizer builds y once per state and shares it with its next
+    t family.
     """
-    y = model.sum_channels(p2 / chi)
-    n_frames = p2.shape[2]
+    n_frames = y.shape[1]
     det_term = -2.0 * n_frames * np.sum(linalg.log_abs_det(q))
     val = det_term + np.sum(np.log(chi)) + np.sum(y ** (beta / 2.0))
     if not math.isfinite(val):

@@ -12,10 +12,11 @@ diagonalizer row sweep (_q_rows); only its row rule (iterative
 projection) differs.
 
 `run` computes what X alone determines once per run (FrameCache) and
-carries the projection powers p2 = |Q x|^2 and the gains chi from one
-sub-update to the next, so each step recomputes only what the previous
-one changed.  Arrays over (bin, channel, frame) use model's
-channel-major layout (I, M, J).
+carries the projection powers p2 = |Q x|^2 from one sub-update to the
+next, so each step recomputes only what the previous one changed.
+After each normalization it builds 1/chi and y = sum_m p2_m / chi_m
+once, for the cost and for the next t family.  Arrays over (bin,
+channel, frame) use model's channel-major layout (I, M, J).
 """
 
 import time
@@ -118,21 +119,31 @@ def _check_factor(name, factor):
         raise NonFiniteError(f"update factor for {name!r} contains NaN/Inf at {where}")
 
 
-def _family_sums(name, state, p2, chi):
+def _chi_weights(p2, chi):
+    """([p2 / chi, 1 / chi] as one (2, I, M, J) buffer, y = sum_m p2_m / chi_m).
+
+    p2 = |p|^2 and chi are channel-major; p2 / chi is formed as p2 * (1 / chi).
+    """
+    ab = np.empty((2,) + p2.shape)
+    np.divide(1.0, chi, out=ab[1])
+    np.multiply(p2, ab[1], out=ab[0])
+    return ab, model.sum_channels(ab[0])
+
+
+def _family_sums(name, state, ab, y):
     """(num, den) of one multiplicative family at the current state.
 
-    p2 = |p|^2 and chi are channel-major.  One matmul gives both sums over
-    the stack [p2 y^{beta/2-1} / chi^2, 1 / chi], y = sum_m p2_m / chi_m.
+    Takes _chi_weights at the current state and overwrites its buffer:
+    one matmul gives both sums over the stack [p2 y^{beta/2-1} / chi^2,
+    1 / chi].
     """
     t, v, z = state.source.T, state.source.V, state.source.Z
     g = state.spatial.G
-    n_bins, n_ch, n_frames = p2.shape
+    _, n_bins, n_ch, n_frames = ab.shape
     n_bases, n_src = z.shape
-    ab = np.empty((2, n_bins, n_ch, n_frames))
-    np.divide(1.0, chi, out=ab[1])
-    np.multiply(p2, ab[1], out=ab[0])
-    y = model.sum_channels(ab[0])
-    ab[0] *= (y ** (state.hyper.beta / 2.0 - 1.0))[:, None, :]
+    # y^0 = 1 exactly, so the Gaussian model skips the power
+    if state.hyper.beta != 2.0:
+        ab[0] *= (y ** (state.hyper.beta / 2.0 - 1.0))[:, None, :]
     ab[0] *= ab[1]
     if name in ("t", "v"):
         zg = g.transpose(0, 2, 1) @ z.T  # sum_n z_kn g_inm, (I, M, K)
@@ -150,12 +161,13 @@ def _family_sums(name, state, p2, chi):
     return tz @ c.transpose(0, 1, 3, 2)
 
 
-def _sweep_tvzg(state, p2, chi, on_phase):
+def _sweep_tvzg(state, p2, shared, on_phase):
     """The t, v, z, g sweep from |p|^2 (channel-major).
 
-    `chi` is the gain at the current state, or None to compute it; after
-    the first family it is recomputed, so each family sees the latest
-    state.
+    `shared` is a list holding _chi_weights at the current state, or
+    empty to compute them.  The first family takes them out of the list,
+    so their buffer is freed once used; every later family builds its
+    own from the latest state.
     """
     beta = state.hyper.beta
     eps = state.hyper.floor_eps
@@ -163,10 +175,9 @@ def _sweep_tvzg(state, p2, chi, on_phase):
     arrays = {"t": state.source.T, "v": state.source.V, "z": state.source.Z,
               "g": state.spatial.G}
     for name, arr in arrays.items():
-        if chi is None:
-            chi = _gain(state)
-        num, den = _family_sums(name, state, p2, chi)
-        chi = None
+        ab, y = shared.pop() if shared else _chi_weights(p2, _gain(state))
+        num, den = _family_sums(name, state, ab, y)
+        ab = y = None
         factor = (beta * num / (2.0 * den)) ** expo
         _check_factor(name, factor)
         arr *= factor
@@ -184,7 +195,7 @@ def update_tvzg(state: model.SeparationState, X: np.ndarray, on_phase=None):
     At beta = 2 this is theta * sqrt(num/den) with phi = |p|^2.
     """
     p2 = np.abs(model.projections(state, X)) ** 2
-    _sweep_tvzg(state, p2.transpose(0, 2, 1), None, on_phase)
+    _sweep_tvzg(state, p2.transpose(0, 2, 1), [], on_phase)
     return state
 
 
@@ -192,10 +203,10 @@ def update_tvzg(state: model.SeparationState, X: np.ndarray, on_phase=None):
 # diagonalizer updates
 
 
-def _row_system(p2, chi, xx, q, m, beta):
+def _row_system(p2, inv_chi, xx, q, m, beta):
     """Per-bin quantities for the sub-Gaussian update of row m.
 
-    Takes the projection powers p2 = |p|^2 and gains chi (B, M, J), the
+    Takes the projection powers p2 = |p|^2 and inverse gains 1/chi (B, M, J), the
     frame outer products xx (B, J, M^2) and Q (B, M, M).  Returns (U, B,
     pm2, w2): the new row solves (Q B)^{-1} e_m, and pm2 = |p_m|^2
     (floored) and w2 = |p_m|^{beta-2} / r^beta feed the ray-scale step,
@@ -216,13 +227,19 @@ def _row_system(p2, chi, xx, q, m, beta):
     consistent; the tangency slack it introduces is second order in the
     floor, far below the descent tolerance.
     """
-    s = model.sum_channels(p2 / chi)
+    s = model.sum_channels(p2 * inv_chi)
     mask = s > 0
     s_safe = np.where(mask, s, 1.0)
-    cm = chi[:, m, :]
-    pm2 = np.maximum(p2[:, m, :], PROJ_FLOOR**2 * s_safe * cm)
-    w2 = np.where(mask, 1.0 / (cm * s_safe ** (1.0 - beta / 2.0)), 0.0)
-    cov = _weighted_cov(np.stack([np.sqrt(w2 / pm2), w2]).transpose(1, 0, 2), xx)
+    icm = inv_chi[:, m, :]
+    pm2 = np.maximum(p2[:, m, :], PROJ_FLOOR**2 * s_safe / icm)
+    # the covariance weights [w1, w2] side by side, so one matmul takes both
+    w = np.empty((p2.shape[0], 2, p2.shape[2]))
+    w2 = w[:, 1]
+    np.divide(icm, s_safe ** (1.0 - beta / 2.0), out=w2)
+    w2[~mask] = 0.0
+    np.divide(w2, pm2, out=w[:, 0])
+    np.sqrt(w[:, 0], out=w[:, 0])
+    cov = _weighted_cov(w, xx)
     u = cov[:, 0]
     uq = _mat_mul(u, q[:, m, :, None].conj())
     quq = _mat_mul(q[:, m, None, :], uq)[:, 0, 0].real
@@ -262,19 +279,19 @@ def _solve_row(q, a, m, bins):
 
 
 # Each row rule takes a block of bins -- Q (B, M, M), x (B, M, J), the
-# frame outer products xx (B, J, M^2), p2 = |Q x|^2 and chi (B, M, J) --
+# frame outer products xx (B, J, M^2), p2 = |Q x|^2 and 1/chi (B, M, J) --
 # the row m, beta and the blocks' frequency bins, and returns the new
 # row m of Q with its |q^H x|^2, (B, M) and (B, J).
 
 
-def _subgaussian_row(q, x, xx, p2, chi, m, beta, bins):
+def _subgaussian_row(q, x, xx, p2, inv_chi, m, beta, bins):
     """Auxiliary-function update of row m for beta in (2, 4].
 
     The row is re-solved from (Q_i B_im)^{-1} e_m and then rescaled along
     its ray so that sum_j |q^H x_j|^beta / r_j^beta = 2J/beta, which is
     the exact minimizer of the row surrogate.
     """
-    _, b, pm2, w2 = _row_system(p2, chi, xx, q, m, beta)
+    _, b, pm2, w2 = _row_system(p2, inv_chi, xx, q, m, beta)
     qnew = _solve_row(q, b, m, bins)
     pnew2 = np.abs((qnew.conj()[:, None, :] @ x)[:, 0, :]) ** 2
     ssum = _scaled_power(pnew2, pm2, w2, beta).sum(axis=1)
@@ -283,13 +300,13 @@ def _subgaussian_row(q, x, xx, p2, chi, m, beta, bins):
     return (qnew * scale[:, None]).conj(), pnew2 * (scale**2)[:, None]
 
 
-def _gaussian_row(q, x, xx, p2, chi, m, beta, bins):
+def _gaussian_row(q, x, xx, p2, inv_chi, m, beta, bins):
     """Iterative projection of row m for the Gaussian model.
 
     The row solves (Q_i U_im)^{-1} e_m, U_im = (1/J) sum_j x_j x_j^H /
     chi_imj, and is normalized to q^H U q = 1 against the true U.
     """
-    u = _weighted_cov(1.0 / chi[:, m, :], xx) / x.shape[-1]
+    u = _weighted_cov(inv_chi[:, m, :], xx) / x.shape[-1]
     qnew = _solve_row(q, u, m, bins)
     quq = _mat_mul(_mat_mul(qnew.conj()[:, None, :], u), qnew[:, :, None])[:, 0, 0].real
     _require(
@@ -317,13 +334,14 @@ def _q_rows(state, cache, p2, workers=1, on_phase=None):
         return
     rule = _ROW_RULES[state.hyper.algorithm]
     beta = state.hyper.beta
-    chi = _gain(state, active)
+    # chi is fixed during the sweep: every row of both rules reads 1/chi
+    inv_chi = 1.0 / _gain(state, active)
     q_all = state.spatial.Q
 
     def one_block(m, lo, hi):
         sel = active[lo:hi]
         row, row_p2 = rule(
-            q_all[sel], cache.x[lo:hi], cache.xx[lo:hi], p2[lo:hi], chi[lo:hi], m, beta, sel
+            q_all[sel], cache.x[lo:hi], cache.xx[lo:hi], p2[lo:hi], inv_chi[lo:hi], m, beta, sel
         )
         q_all[sel, m, :] = row
         p2[lo:hi, m, :] = row_p2
@@ -386,6 +404,20 @@ def normalize_and_rescale(state: model.SeparationState):
     return state
 
 
+def _cost(state, power, shared):
+    """The objective at the state from |p|^2 (channel-major, all bins).
+
+    Q is final for the iteration and the state is normalized, so 1/chi
+    and y are what the next t family would build: they go into `shared`
+    for it (see _sweep_tvzg).  The gains chi are built after
+    normalization, whose floor can change them.
+    """
+    chi = _gain(state)
+    ab, y = _chi_weights(power, chi)
+    shared.append((ab, y))
+    return objective.jd_cost(state.spatial.Q, y, chi, state.hyper.beta)
+
+
 @dataclass
 class IterationReport:
     iteration: int
@@ -415,17 +447,16 @@ def run(
     iters = state.hyper.iterations
     if iters == 0:
         return state, trace
-    beta = state.hyper.beta
     cache = FrameCache(X)
     p2 = cache.projection_powers(state.spatial.Q)
     power = cache.power(p2)
-    chi = _gain(state)
-    cost_before = objective.jd_cost(state.spatial.Q, power, chi, beta)
+    shared = []
+    cost_before = _cost(state, power, shared)
     for it in range(1, iters + 1):
         phase_ms = {}
         t0 = time.perf_counter()
         try:
-            _sweep_tvzg(state, power, chi, on_subupdate)
+            _sweep_tvzg(state, power, shared, on_subupdate)
             t1 = time.perf_counter()
             phase_ms["tvzg"] = (t1 - t0) * 1000.0
             _q_rows(state, cache, p2, workers, on_subupdate)
@@ -436,12 +467,9 @@ def run(
                 on_subupdate("normalize", state)
             t3 = time.perf_counter()
             phase_ms["normalize"] = (t3 - t2) * 1000.0
-            # Q is final for this iteration and normalization leaves chi
-            # as the next t family would compute it: both serve the cost
-            # and the next sweep
             power = cache.power(p2)
-            chi = _gain(state)
-            cost = objective.jd_cost(state.spatial.Q, power, chi, beta)
+            cost = _cost(state, power, shared)
+            phase_ms["cost"] = (time.perf_counter() - t3) * 1000.0
         except SingularMatrixError as exc:
             raise SingularMatrixError(f"iteration {it}: {exc}", exc.index) from exc
         except NonFiniteError as exc:

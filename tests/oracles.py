@@ -189,7 +189,7 @@ def row_update_terms(state: model.SeparationState, X: np.ndarray, row: int):
     beta = state.hyper.beta
     p2 = np.abs(state.spatial.Q @ X.transpose(0, 2, 1)) ** 2
     u, b, pm2, w2 = optimizer._row_system(
-        p2, optimizer._gain(state), optimizer._outer_products(X), state.spatial.Q, row, beta
+        p2, 1.0 / optimizer._gain(state), optimizer._outer_products(X), state.spatial.Q, row, beta
     )
     rb = np.divide(pm2 ** (beta / 2.0 - 1.0), w2, out=np.ones_like(w2), where=w2 > 0)
     return {"r": rb ** (1.0 / beta), "U": u, "B": b}
@@ -208,14 +208,14 @@ def post_scale_sums(state: model.SeparationState, X: np.ndarray) -> np.ndarray:
     cache = optimizer.FrameCache(X)
     p2 = cache.projection_powers(state.spatial.Q)
     active = cache.active
-    chi = optimizer._gain(state, active)
+    inv_chi = 1.0 / optimizer._gain(state, active)
     sums = np.empty((active.size, cache.x.shape[1]))
     p2_row, q_row = p2.copy(), state.spatial.Q[active]
 
     def after_row(name, st):
         nonlocal p2_row, q_row
         m = int(name.removeprefix("q_row_"))
-        _, _, pm2, w2 = optimizer._row_system(p2_row, chi, cache.xx, q_row, m, beta)
+        _, _, pm2, w2 = optimizer._row_system(p2_row, inv_chi, cache.xx, q_row, m, beta)
         post = (st.spatial.Q[active, m, None, :] @ cache.x)[:, 0, :]
         sums[:, m] = optimizer._scaled_power(np.abs(post) ** 2, pm2, w2, beta).sum(axis=1)
         p2_row, q_row = p2.copy(), st.spatial.Q[active]

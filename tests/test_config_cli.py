@@ -64,6 +64,11 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=r"stft\.hop_ms: .* 16000 Hz"):
             cfg.stft_config(16000)
 
+    def test_sample_count_overflow_names_the_field(self):
+        cfg = config.parse_config({"stft": {"window_ms": 1e308, "hop_ms": 1e308}})
+        with pytest.raises(ConfigError, match=r"^stft\.window_ms: 1e\+308 ms overflows"):
+            cfg.stft_config(16000)
+
     def test_paths_and_stft_round_trip(self):
         cfg = config.parse_config(
             {
@@ -421,7 +426,12 @@ class TestPipeline:
 
     @pytest.mark.parametrize(
         "field,doc",
-        [("seed", {"seed": -1}), ("stft.hop_ms", {"stft": {"hop_ms": 0.01}})],
+        [
+            ("seed", {"seed": -1}),
+            ("stft.hop_ms", {"stft": {"hop_ms": 0.01}}),
+            ("stft.window_ms", {"stft": {"window_ms": 1e6}}),  # 16 M samples
+            ("stft.window_ms", {"stft": {"window_ms": 1e308, "hop_ms": 1e308}}),
+        ],
     )
     def test_rejected_config_leaves_no_output_dir(self, scene_dir, tmp_path, capsys, field, doc):
         out = tmp_path / "o"

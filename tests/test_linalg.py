@@ -110,3 +110,69 @@ def test_non_finite_entry_raises(func):
 def test_non_square_raises(func):
     with pytest.raises(DimensionMismatchError, match="square"):
         func(np.ones((2, 3), dtype=np.complex128))
+
+
+class TestClosedFormTwoByTwo:
+    """M = 2 is solved in closed form; it must agree with LAPACK."""
+
+    def test_random_stacks_match_numpy(self):
+        rng = np.random.default_rng(31)
+        for batch in [(), (1,), (7,), (3, 5)]:
+            a = _random_batch(rng, batch + (2, 2))
+            # the row updates solve against one unit vector broadcast over the stack
+            unit = np.broadcast_to(np.eye(2)[1], batch + (2,))
+            for b in [_random_batch(rng, batch + (2,)), unit]:
+                want = np.linalg.solve(a, np.array(b)[..., None])[..., 0]
+                np.testing.assert_allclose(linalg.solve(a, b), want, rtol=1e-9, atol=1e-11)
+            c = _random_batch(rng, batch + (2, 4))
+            np.testing.assert_allclose(
+                linalg.solve(a, c), np.linalg.solve(a, c), rtol=1e-9, atol=1e-11
+            )
+            np.testing.assert_allclose(
+                linalg.log_abs_det(a), np.linalg.slogdet(a)[1], rtol=1e-9, atol=1e-10
+            )
+
+    @pytest.mark.parametrize("scales", [(1e-200, 1e-200), (1e200, 1e200), (1e-200, 1e200)])
+    def test_extreme_column_scales_match_numpy(self, scales):
+        # det A and the products of unscaled entries leave the float range
+        rng = np.random.default_rng(33)
+        a = _random_batch(rng, (6, 2, 2)) * np.array(scales)
+        b = _random_batch(rng, (6, 2))
+        c = _random_batch(rng, (6, 2, 3))
+        np.testing.assert_allclose(
+            linalg.solve(a, b), np.linalg.solve(a, b[..., None])[..., 0], rtol=1e-9
+        )
+        np.testing.assert_allclose(linalg.solve(a, c), np.linalg.solve(a, c), rtol=1e-9)
+        np.testing.assert_allclose(
+            linalg.log_abs_det(a), np.linalg.slogdet(a)[1], rtol=1e-12, atol=1e-12
+        )
+
+
+def _hadamard_ratio_matrix(rng, m, ratio):
+    """An m x m matrix with |det| / prod ||a_k|| = ratio / sqrt(1 + ratio^2).
+
+    Columns e_1 and e_1 + ratio e_2, all others e_k; a unitary from the
+    left and the column scales leave the ratio as it is.
+    """
+    a = np.eye(m, dtype=np.complex128)
+    a[:, 1] = a[:, 0] + ratio * a[:, 1]
+    u, _ = np.linalg.qr(_random_batch(rng, (m, m)))
+    return (u @ a) * np.logspace(-3, 3, m)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize(
+    "func",
+    [linalg.log_abs_det, lambda a: linalg.solve(a, np.ones(a.shape[:-1]))],
+    ids=["log_abs_det", "solve"],
+)
+def test_singularity_threshold_is_the_same_at_every_size(m, func):
+    rng = np.random.default_rng(40 + m)
+    good = [_hadamard_ratio_matrix(rng, m, 1.0) for _ in range(4)]
+    near = _hadamard_ratio_matrix(rng, m, 10 * linalg.RTOL)
+    assert np.isfinite(func(np.stack(good[:2] + [near] + good[2:]))).all()
+    bad = _hadamard_ratio_matrix(rng, m, 0.1 * linalg.RTOL)
+    message = rf"^\|det\| at most {linalg.RTOL:g} x the product of the column norms"
+    with pytest.raises(SingularMatrixError, match=message + r" \(batch index 2\)$") as info:
+        func(np.stack(good[:2] + [bad] + good[2:]))
+    assert info.value.index == 2

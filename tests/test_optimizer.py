@@ -206,7 +206,8 @@ class TestRun:
             assert cur.cost_before == prev.cost_after
         for r in reports:
             assert r.cost_after <= r.cost_before + 1e-8 * abs(r.cost_before)
-            assert set(r.phase_ms) == {"tvzg", "q", "normalize"}
+            assert set(r.phase_ms) == {"tvzg", "q", "normalize", "cost"}
+            assert all(ms >= 0.0 for ms in r.phase_ms.values())
 
     def test_trace_matches_iteration_reports(self):
         rng = np.random.default_rng(143)
@@ -264,6 +265,26 @@ class TestRun:
         with pytest.raises(SingularMatrixError, match=r"^iteration 1: singular") as info:
             optimizer.run(st, helpers.random_mixture(rng))
         assert info.value.index == 4
+
+    @pytest.mark.parametrize("algorithm,beta", [("subgaussian", 3.4), ("gaussian", 2.0)])
+    def test_trace_costs_match_cost_from_scratch(self, algorithm, beta):
+        # the run shares y and 1/chi between its cost and the next t family
+        rng = np.random.default_rng(148)
+        st = helpers.random_state(
+            rng, n_bins=9, n_frames=13, beta=beta, algorithm=algorithm, iterations=20
+        )
+        X = helpers.random_mixture(rng, 9, 13, 2)
+        initial = objective.cost_ggd_jd(st, X)
+        fresh, reports = [], []
+
+        def on_iteration(report):
+            fresh.append(objective.cost_ggd_jd(st, X))
+            reports.append(report)
+
+        _, trace = optimizer.run(st, X, on_iteration=on_iteration)
+        assert len(trace.costs) == 20
+        np.testing.assert_allclose(trace.costs, fresh, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(reports[0].cost_before, initial, rtol=1e-12, atol=0)
 
 
 
