@@ -120,14 +120,16 @@ def _check_factor(name, factor):
 
 
 def _chi_weights(p2, chi):
-    """([p2 / chi, 1 / chi] as one (2, I, M, J) buffer, y = sum_m p2_m / chi_m).
+    """[p2 / chi, 1 / chi] as one (2, I, M, J) buffer.
 
     p2 = |p|^2 and chi are channel-major; p2 / chi is formed as p2 * (1 / chi).
+    A caller that needs y = sum_m p2_m / chi_m takes
+    model.sum_channels(ab[0]) before _family_sums overwrites the buffer.
     """
     ab = np.empty((2,) + p2.shape)
     np.divide(1.0, chi, out=ab[1])
     np.multiply(p2, ab[1], out=ab[0])
-    return ab, model.sum_channels(ab[0])
+    return ab
 
 
 def _family_sums(name, state, ab, y):
@@ -135,7 +137,7 @@ def _family_sums(name, state, ab, y):
 
     Takes _chi_weights at the current state and overwrites its buffer:
     one matmul gives both sums over the stack [p2 y^{beta/2-1} / chi^2,
-    1 / chi].
+    1 / chi].  y is read only when beta != 2 (may be None otherwise).
     """
     t, v, z = state.source.T, state.source.V, state.source.Z
     g = state.spatial.G
@@ -164,10 +166,10 @@ def _family_sums(name, state, ab, y):
 def _sweep_tvzg(state, p2, shared, on_phase):
     """The t, v, z, g sweep from |p|^2 (channel-major).
 
-    `shared` is a list holding _chi_weights at the current state, or
-    empty to compute them.  The first family takes them out of the list,
-    so their buffer is freed once used; every later family builds its
-    own from the latest state.
+    `shared` is a list holding _chi_weights and y at the current state,
+    or empty to compute them.  The first family takes them out of the
+    list, so their buffer is freed once used; every later family builds
+    its own from the latest state, and y only when beta != 2.
     """
     beta = state.hyper.beta
     eps = state.hyper.floor_eps
@@ -175,7 +177,11 @@ def _sweep_tvzg(state, p2, shared, on_phase):
     arrays = {"t": state.source.T, "v": state.source.V, "z": state.source.Z,
               "g": state.spatial.G}
     for name, arr in arrays.items():
-        ab, y = shared.pop() if shared else _chi_weights(p2, _gain(state))
+        if shared:
+            ab, y = shared.pop()
+        else:
+            ab = _chi_weights(p2, _gain(state))
+            y = model.sum_channels(ab[0]) if beta != 2.0 else None
         num, den = _family_sums(name, state, ab, y)
         ab = y = None
         factor = (beta * num / (2.0 * den)) ** expo
@@ -413,7 +419,8 @@ def _cost(state, power, shared):
     normalization, whose floor can change them.
     """
     chi = _gain(state)
-    ab, y = _chi_weights(power, chi)
+    ab = _chi_weights(power, chi)
+    y = model.sum_channels(ab[0])
     shared.append((ab, y))
     return objective.jd_cost(state.spatial.Q, y, chi, state.hyper.beta)
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import audio, linalg, model
+from .errors import DimensionMismatchError
 
 
 @dataclass
@@ -29,25 +30,26 @@ class SeparatedSources:
 def wiener_separate(state: model.SeparationState, X: np.ndarray) -> SeparatedSources:
     """shat_ijn = Q_i^{-1} D_ijn Q_i x_ij with D the diagonal share matrix.
 
-    D_ijn = diag_m(sigma_ijn g_inm / chi_ijm); one solve per Q_i serves
-    every (frame, source) right-hand side.
+    D_ijn = diag_m(sigma_ijn g_inm / chi_ijm).  The filter runs one
+    source at a time in the channel-major layout (I, M, J): one solve per
+    source serves every frame, and only one source's right-hand sides
+    are alive at a time.
     """
-    n_bins, n_frames, n_ch = X.shape
-    n_src = state.hyper.n_sources
-    p = model.projections(state, X)
-    sigma = model.compute_source_psd(state.source)
-    chi = model.mixture_gain(state)
-    share = (
-        sigma[:, :, :, None]
-        * state.spatial.G[:, None, :, :]
-        / chi[:, :, None, :]
-    )
-    weighted = share * p[:, :, None, :]
-    rhs = weighted.transpose(0, 3, 1, 2).reshape(n_bins, n_ch, n_frames * n_src)
-    sol = linalg.solve(state.spatial.Q, rhs)
-    spectra = (
-        sol.reshape(n_bins, n_ch, n_frames, n_src).transpose(3, 0, 2, 1).copy()
-    )
+    n_frames = state.source.V.shape[1]
+    if X.ndim != 3 or X.shape[1] != n_frames:
+        got = f"{X.shape[1]} frames" if X.ndim == 3 else f"{X.ndim} axes"
+        raise DimensionMismatchError(
+            f"spectrogram {X.shape} has {got}; the state has {n_frames} frames"
+        )
+    p = model.projections(state, X).transpose(0, 2, 1)
+    sigma = model.compute_source_psd(state.source).transpose(0, 2, 1)
+    chi = model.mixture_gain(state).transpose(0, 2, 1)
+    g = state.spatial.G
+    spectra = np.empty((g.shape[1],) + X.shape, dtype=np.complex128)
+    for n in range(g.shape[1]):
+        rhs = sigma[:, n, None, :] * g[:, n, :, None] / chi * p
+        spectra[n] = linalg.solve(state.spatial.Q, rhs).transpose(0, 2, 1)
+        rhs = None
     return SeparatedSources(spectra=spectra)
 
 

@@ -1,6 +1,8 @@
-"""Shared builders for randomized states, small synthetic scenes and WAV bytes."""
+"""Shared builders for randomized states, small synthetic scenes and WAV bytes,
+and an in-process memory probe."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 
@@ -86,3 +88,23 @@ def wav_bytes(payload, n_channels=1, sample_rate=8000):
         b"fmt ", struct.pack("<I", 16), fmt_body,
         b"data", struct.pack("<I", len(payload)), payload,
     ])
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), the peak bytes traced while it ran above those at its start).
+
+    Runs fn under tracemalloc, which numpy reports its buffers to, so a
+    memory bound holds for one call in this process; the process's peak
+    resident size cannot be reset between calls.
+    """
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()

@@ -6,7 +6,8 @@ a diagonal one.  What that derivation relies on lives here, not in the
 package, because no separation runs it:
 
 - the full-rank covariances, cost and Wiener filter, which must agree
-  with their diagonal-domain counterparts;
+  with their diagonal-domain counterparts, and the all-sources-at-once
+  diagonal-domain filter the package's must equal bit for bit;
 - the Jensen/tangent surrogate of the nonnegative block and the
   auxiliary values at which it touches the cost;
 - the diagonalizer row system and the post-scale sums of the row update.
@@ -81,6 +82,24 @@ def wiener_separate_fullrank(
     out = np.einsum("inab,ijb->ijna", scm, sol, optimize=True)
     out = out * sigma[:, :, :, None]
     return out.transpose(2, 0, 1, 3).copy()
+
+
+def wiener_separate_broadcast(state: model.SeparationState, X: np.ndarray) -> np.ndarray:
+    """The diagonal-domain filter with every (I, J, N, M) intermediate at once.
+
+    One solve per Q_i against all (frame, source) right-hand sides; the
+    package filters one source at a time and must match this bit for bit.
+    """
+    n_bins, n_frames, n_ch = X.shape
+    n_src = state.hyper.n_sources
+    p = model.projections(state, X)
+    sigma = model.compute_source_psd(state.source)
+    chi = model.mixture_gain(state)
+    share = sigma[:, :, :, None] * state.spatial.G[:, None, :, :] / chi[:, :, None, :]
+    weighted = share * p[:, :, None, :]
+    rhs = weighted.transpose(0, 3, 1, 2).reshape(n_bins, n_ch, n_frames * n_src)
+    sol = linalg.solve(state.spatial.Q, rhs)
+    return sol.reshape(n_bins, n_ch, n_frames, n_src).transpose(3, 0, 2, 1).copy()
 
 
 # ---------------------------------------------------------------------------

@@ -151,9 +151,8 @@ def test_row_system(n_ch, n_src, n_bases, beta):
 def test_family_sums(n_ch, n_src, n_bases, algorithm, beta, name):
     st, X = _state(240, n_ch, n_src, n_bases, beta=beta, algorithm=algorithm)
     p2 = np.abs(model.projections(st, X)) ** 2
-    got = optimizer._family_sums(
-        name, st, *optimizer._chi_weights(_cm(p2), _cm(model.mixture_gain(st)))
-    )
+    ab = optimizer._chi_weights(_cm(p2), _cm(model.mixture_gain(st)))
+    got = optimizer._family_sums(name, st, ab, model.sum_channels(ab[0]))
     for have, want in zip(got, oracle_family_sums(name, st, X)):
         _assert_close(have, want)
 

@@ -6,6 +6,7 @@ import pytest
 import helpers
 import oracles
 from sgmnmf import audio, model, separate
+from sgmnmf.errors import DimensionMismatchError
 
 
 class TestWienerSeparate:
@@ -28,6 +29,36 @@ class TestWienerSeparate:
                 X, oracles.full_rank_scm(st), model.compute_source_psd(st.source)
             )
             np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-10)
+
+    @pytest.mark.parametrize("n_ch,n_src", [(2, 2), (3, 3)])
+    def test_equals_all_sources_at_once_filter(self, n_ch, n_src):
+        # M = 2 takes the closed-form solve, M = 3 LAPACK
+        rng = np.random.default_rng(204)
+        st = helpers.random_state(rng, n_bins=33, n_frames=17, n_channels=n_ch, n_sources=n_src)
+        X = helpers.random_mixture(rng, 33, 17, n_ch)
+        got = separate.wiener_separate(st, X).spectra
+        assert np.array_equal(got, oracles.wiener_separate_broadcast(st, X))
+
+    @pytest.mark.parametrize("n_bins,n_frames,n_ch,n_src", [(129, 32, 2, 2), (129, 40, 3, 3)])
+    def test_peak_memory_bound(self, n_bins, n_frames, n_ch, n_src):
+        # only one source's right-hand sides may be alive beside the output;
+        # keeping every (I, J, N, M) intermediate at once takes over 5x
+        rng = np.random.default_rng(205)
+        st = helpers.random_state(
+            rng, n_bins=n_bins, n_frames=n_frames, n_channels=n_ch, n_sources=n_src
+        )
+        X = helpers.random_mixture(rng, n_bins, n_frames, n_ch)
+        sep, peak = helpers.traced_peak(separate.wiener_separate, st, X)
+        assert peak <= 4.5 * sep.spectra.nbytes
+
+    @pytest.mark.parametrize("n_frames", [5, 1])
+    def test_frame_count_mismatch_names_both(self, n_frames):
+        rng = np.random.default_rng(206)
+        st = helpers.random_state(rng, n_bins=9, n_frames=6, n_channels=2, n_sources=2)
+        X = helpers.random_mixture(rng, 9, n_frames, 2)
+        msg = rf"\(9, {n_frames}, 2\) has {n_frames} frames; the state has 6 frames"
+        with pytest.raises(DimensionMismatchError, match=msg):
+            separate.wiener_separate(st, X)
 
     def test_dominant_source_takes_the_bin(self):
         # when one source holds nearly all the modeled power in a bin, the
