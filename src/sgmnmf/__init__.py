@@ -17,13 +17,7 @@ from .model import (
     save_state,
 )
 from .objective import CostTrace, cost_ggd_jd
-from .optimizer import (
-    IterationReport,
-    normalize_and_rescale,
-    run,
-    update_q,
-    update_tvzg,
-)
+from .optimizer import IterationReport, normalize_and_rescale, run
 from .separate import SeparatedSources, wiener_separate
 from .simulate import MixtureBundle, RoomSpec, gen_subgaussian_source, mix, synth_rir
 
@@ -51,8 +45,6 @@ __all__ = [
     "IterationReport",
     "normalize_and_rescale",
     "run",
-    "update_q",
-    "update_tvzg",
     "SeparatedSources",
     "wiener_separate",
     "MixtureBundle",

@@ -15,9 +15,9 @@ import numpy as np
 
 from .errors import (
     CorruptHeaderError,
+    DimensionMismatchError,
     EmptyInputError,
     NonFiniteError,
-    ShapeMismatchError,
     UnsupportedFormatError,
 )
 
@@ -34,7 +34,7 @@ class Waveform:
         if self.data.ndim == 1:
             self.data = self.data[:, None]
         if self.data.ndim != 2:
-            raise ShapeMismatchError(f"waveform data must be 2-D, got {self.data.ndim}-D")
+            raise DimensionMismatchError(f"waveform data must be 2-D, got {self.data.ndim}-D")
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
 
@@ -109,7 +109,7 @@ def istft(spec: np.ndarray, cfg: StftConfig, length: int, sample_rate: int = 160
     """Weighted overlap-add synthesis back to a (length, M) waveform."""
     spec = np.asarray(spec)
     if spec.ndim != 3 or spec.shape[0] != cfg.n_bins:
-        raise ShapeMismatchError(
+        raise DimensionMismatchError(
             f"spectrogram shape {spec.shape} incompatible with {cfg.n_bins} bins"
         )
     n_bins, n_frames, n_ch = spec.shape
@@ -117,7 +117,7 @@ def istft(spec: np.ndarray, cfg: StftConfig, length: int, sample_rate: int = 160
     edge = cfg.window_length - cfg.hop
     total = (n_frames - 1) * cfg.hop + cfg.window_length
     if edge + length > total:
-        raise ShapeMismatchError(
+        raise DimensionMismatchError(
             f"requested {length} samples but frames only cover {total - edge}"
         )
     starts = np.arange(n_frames) * cfg.hop

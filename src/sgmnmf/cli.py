@@ -11,7 +11,7 @@ import os
 import sys
 
 from . import audio, config, metrics, model, optimizer, separate, simulate
-from .errors import ConfigError, DimensionMismatchError, SgmnmfError
+from .errors import ConfigError, DimensionMismatchError, EmptyInputError, SgmnmfError
 
 
 def _load_json(path):
@@ -60,6 +60,11 @@ def cmd_separate(cfg: config.RunConfig, workers: int = 1):
         raise DimensionMismatchError(
             f"{cfg.mixture}: separation needs >= 2 channels, got {wave.n_channels}"
         )
+    live = wave.data.any(axis=0)
+    if not live.any():
+        raise EmptyInputError(f"{cfg.mixture}: the mixture has no nonzero sample")
+    if not live.all():
+        raise EmptyInputError(f"{cfg.mixture}: channel {live.argmin()} has no nonzero sample")
     stft_cfg = cfg.stft_config(wave.sample_rate)
     if stft_cfg.window_length > wave.n_samples:
         raise ConfigError(

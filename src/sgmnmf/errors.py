@@ -18,11 +18,7 @@ class SingularMatrixError(SgmnmfError):
 
 
 class DimensionMismatchError(SgmnmfError):
-    """Operands have inconsistent shapes."""
-
-
-class ShapeMismatchError(SgmnmfError):
-    """A spectrogram/config pair is incompatible."""
+    """An array has the wrong shape, or operands have inconsistent shapes."""
 
 
 class EmptyInputError(SgmnmfError):

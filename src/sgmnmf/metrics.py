@@ -77,14 +77,11 @@ def _channel(sig, ref_channel):
 def sdr_improvement(estimates, refs, mixture, ref_channel: int = 0) -> MetricsReport:
     """Score each estimate against its best-matching reference.
 
-    estimates/refs are per-source multichannel Waveforms (or a
-    SeparatedSources with waveforms filled in, or bare arrays); scoring
-    happens at `ref_channel`.  permutation[b] is the 0-based estimate
-    index assigned to reference b, chosen to maximize mean SDR
-    exhaustively.
+    estimates/refs are per-source multichannel Waveforms (or bare
+    arrays); scoring happens at `ref_channel`.  permutation[b] is the
+    0-based estimate index assigned to reference b, chosen to maximize
+    mean SDR exhaustively.
     """
-    if hasattr(estimates, "waveforms"):
-        estimates = estimates.waveforms
     n = len(estimates)
     if n != len(refs):
         raise DimensionMismatchError(

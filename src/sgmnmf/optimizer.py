@@ -11,12 +11,12 @@ the general rule is the square-root rule bit for bit, and the same
 diagonalizer row sweep (_q_rows); only its row rule (iterative
 projection) differs.
 
-`run` computes what X alone determines once per run (FrameCache) and
-carries the projection powers p2 = |Q x|^2 from one sub-update to the
-next, so each step recomputes only what the previous one changed.
-After each normalization it builds 1/chi and y = sum_m p2_m / chi_m
-once, for the cost and for the next t family.  Arrays over (bin,
-channel, frame) use model's channel-major layout (I, M, J).
+`run` is the only driver.  It computes what X alone determines once per
+run (FrameCache) and carries the projection powers p2 = |Q x|^2 over
+all bins, silent bins at zero, from one sub-update to the next.  After
+each normalization it builds 1/chi and y = sum_m p2_m / chi_m once,
+for the cost and for the next t family.  Arrays over (bin, channel,
+frame) use model's channel-major layout (I, M, J).
 """
 
 import time
@@ -55,7 +55,7 @@ class FrameCache:
     """What the diagonalizer rules need from X, built once per run.
 
     active: bins with a nonzero frame (silent bins keep their Q_i);
-    x: X[active] channel-major, (A, M, J), whose |Q x|^2 the rules carry;
+    x: X[active] channel-major, (A, M, J);
     xx: the frame outer products of X[active], (A, J, M^2), so each
     weighted covariance sum_j w_j x_j x_j^H is one matmul.
     """
@@ -68,18 +68,14 @@ class FrameCache:
         self.xx = _outer_products(xa)
 
     def projection_powers(self, q):
-        """|Q x|^2 over the active bins, (A, M, J)."""
+        """|Q x|^2 over all bins, (I, M, J); silent bins are zero."""
         if q.shape[0] != self.n_bins or q.shape[1] != self.x.shape[1]:
             raise DimensionMismatchError(
                 f"spectrogram with {self.n_bins} bins x {self.x.shape[1]} channels "
                 f"incompatible with Q {q.shape}"
             )
-        return np.abs(q[self.active] @ self.x) ** 2
-
-    def power(self, p2):
-        """The active bins' |p|^2 spread over all bins, (I, M, J); silent bins are zero."""
-        out = np.zeros((self.n_bins,) + p2.shape[1:])
-        out[self.active] = p2
+        out = np.zeros((self.n_bins,) + self.x.shape[1:])
+        out[self.active] = np.abs(q[self.active] @ self.x) ** 2
         return out
 
 
@@ -164,12 +160,12 @@ def _family_sums(name, state, ab, y):
 
 
 def _sweep_tvzg(state, p2, shared, on_phase):
-    """The t, v, z, g sweep from |p|^2 (channel-major).
+    """The t, v, z, g sweep from the projection powers p2, (I, M, J).
 
-    `shared` is a list holding _chi_weights and y at the current state,
-    or empty to compute them.  The first family takes them out of the
-    list, so their buffer is freed once used; every later family builds
-    its own from the latest state, and y only when beta != 2.
+    Each factor is theta * (beta*num / (2*den))^{2/(beta+2)}.  The first
+    family takes the _chi_weights and y that the cost put into the list
+    `shared`, so their buffer is freed once used; every later family
+    builds its own from the latest state, and y only when beta != 2.
     """
     beta = state.hyper.beta
     eps = state.hyper.floor_eps
@@ -190,19 +186,6 @@ def _sweep_tvzg(state, p2, shared, on_phase):
         np.maximum(arr, eps, out=arr)
         if on_phase is not None:
             on_phase(name, state)
-
-
-def update_tvzg(state: model.SeparationState, X: np.ndarray, on_phase=None):
-    """One multiplicative sweep over t, v, z, g for beta in [2, 4].
-
-    Each factor is theta <- theta * (beta*num / (2*den))^{2/(beta+2)}
-    with num/den the phi- and chi-weighted partner sums; chi and phi are
-    recomputed before every family so each family sees the latest state.
-    At beta = 2 this is theta * sqrt(num/den) with phi = |p|^2.
-    """
-    p2 = np.abs(model.projections(state, X)) ** 2
-    _sweep_tvzg(state, p2.transpose(0, 2, 1), [], on_phase)
-    return state
 
 
 # ---------------------------------------------------------------------------
@@ -328,12 +311,13 @@ _ROW_RULES = {"subgaussian": _subgaussian_row, "gaussian": _gaussian_row}
 def _q_rows(state, cache, p2, workers=1, on_phase=None):
     """One sweep over the rows of every active Q_i; updates p2 in place.
 
-    The row rule is the one of state.hyper.algorithm.  Each row's active
-    bins are split into up to `workers` contiguous blocks, which run on
-    threads when there are several; every block of a row finishes before
-    the next row starts, and the first error raised by any block is
-    re-raised once all of them have finished.  on_phase(f"q_row_{m}",
-    state) fires after each row.
+    The row rule is the one of state.hyper.algorithm; it reads and
+    writes Q and p2 (I, M, J) at the active bins only.  Each row's
+    active bins are split into up to `workers` contiguous blocks, which
+    run on threads when there are several; every block of a row
+    finishes before the next row starts, and the first error raised by
+    any block is re-raised once all of them have finished.
+    on_phase(f"q_row_{m}", state) fires after each row.
     """
     active = cache.active
     if active.size == 0:
@@ -347,10 +331,10 @@ def _q_rows(state, cache, p2, workers=1, on_phase=None):
     def one_block(m, lo, hi):
         sel = active[lo:hi]
         row, row_p2 = rule(
-            q_all[sel], cache.x[lo:hi], cache.xx[lo:hi], p2[lo:hi], inv_chi[lo:hi], m, beta, sel
+            q_all[sel], cache.x[lo:hi], cache.xx[lo:hi], p2[sel], inv_chi[lo:hi], m, beta, sel
         )
         q_all[sel, m, :] = row
-        p2[lo:hi, m, :] = row_p2
+        p2[sel, m, :] = row_p2
 
     bounds = np.linspace(0, active.size, max(1, min(workers, active.size)) + 1).astype(int)
     blocks = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
@@ -369,18 +353,6 @@ def _q_rows(state, cache, p2, workers=1, on_phase=None):
     finally:
         if pool is not None:
             pool.shutdown()
-
-
-def update_q(state: model.SeparationState, X: np.ndarray, workers: int = 1, on_phase=None):
-    """Row-wise diagonalizer update under the rule of state.hyper.algorithm.
-
-    Bins with no energy are left untouched.  on_phase(f"q_row_{m}",
-    state) fires after each row.  `workers` only splits the frequency
-    axis, so results are independent of the worker count.
-    """
-    cache = FrameCache(X)
-    _q_rows(state, cache, cache.projection_powers(state.spatial.Q), workers, on_phase)
-    return state
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +382,8 @@ def normalize_and_rescale(state: model.SeparationState):
     return state
 
 
-def _cost(state, power, shared):
-    """The objective at the state from |p|^2 (channel-major, all bins).
+def _cost(state, p2, shared):
+    """The objective at the state from the projection powers p2, (I, M, J).
 
     Q is final for the iteration and the state is normalized, so 1/chi
     and y are what the next t family would build: they go into `shared`
@@ -419,7 +391,7 @@ def _cost(state, power, shared):
     normalization, whose floor can change them.
     """
     chi = _gain(state)
-    ab = _chi_weights(power, chi)
+    ab = _chi_weights(p2, chi)
     y = model.sum_channels(ab[0])
     shared.append((ab, y))
     return objective.jd_cost(state.spatial.Q, y, chi, state.hyper.beta)
@@ -444,26 +416,30 @@ def run(
 
     on_subupdate(name, state) fires after every sub-update ('t', 'v',
     'z', 'g', 'q_row_<m>', 'normalize'); on_iteration(report) after
-    each full iteration.
-    `workers` only splits the frequency axis, so results are independent
-    of the worker count.  A NonFiniteError or SingularMatrixError raised
-    by an iteration is re-raised as the same type, prefixed with
-    "iteration N: ".
+    each full iteration.  `workers` only splits the frequency axis, so
+    results are independent of the worker count.  X must have the
+    state's frame count (DimensionMismatchError otherwise).  A
+    NonFiniteError or SingularMatrixError raised by an iteration is
+    re-raised as the same type, prefixed with "iteration N: ".
     """
+    n_frames = state.source.V.shape[1]
+    if X.shape[1] != n_frames:
+        raise DimensionMismatchError(
+            f"spectrogram {X.shape} has {X.shape[1]} frames; the state has {n_frames} frames"
+        )
     trace = objective.CostTrace()
     iters = state.hyper.iterations
     if iters == 0:
         return state, trace
     cache = FrameCache(X)
     p2 = cache.projection_powers(state.spatial.Q)
-    power = cache.power(p2)
     shared = []
-    cost_before = _cost(state, power, shared)
+    cost_before = _cost(state, p2, shared)
     for it in range(1, iters + 1):
         phase_ms = {}
         t0 = time.perf_counter()
         try:
-            _sweep_tvzg(state, power, shared, on_subupdate)
+            _sweep_tvzg(state, p2, shared, on_subupdate)
             t1 = time.perf_counter()
             phase_ms["tvzg"] = (t1 - t0) * 1000.0
             _q_rows(state, cache, p2, workers, on_subupdate)
@@ -474,8 +450,7 @@ def run(
                 on_subupdate("normalize", state)
             t3 = time.perf_counter()
             phase_ms["normalize"] = (t3 - t2) * 1000.0
-            power = cache.power(p2)
-            cost = _cost(state, power, shared)
+            cost = _cost(state, p2, shared)
             phase_ms["cost"] = (time.perf_counter() - t3) * 1000.0
         except SingularMatrixError as exc:
             raise SingularMatrixError(f"iteration {it}: {exc}", exc.index) from exc

@@ -215,7 +215,7 @@ def row_update_terms(state: model.SeparationState, X: np.ndarray, row: int):
 
 
 def post_scale_sums(state: model.SeparationState, X: np.ndarray) -> np.ndarray:
-    """Run the sub-Gaussian update_q on state; return the post-scale sums.
+    """Run the sub-Gaussian row sweep on state; return the post-scale sums.
 
     For each active bin and row m, sum_j |q_m^H x_j|^beta / r_j^beta
     with the rescaled row, shape (A, M).  The weights r come from the
@@ -229,7 +229,7 @@ def post_scale_sums(state: model.SeparationState, X: np.ndarray) -> np.ndarray:
     active = cache.active
     inv_chi = 1.0 / optimizer._gain(state, active)
     sums = np.empty((active.size, cache.x.shape[1]))
-    p2_row, q_row = p2.copy(), state.spatial.Q[active]
+    p2_row, q_row = p2[active], state.spatial.Q[active]
 
     def after_row(name, st):
         nonlocal p2_row, q_row
@@ -237,7 +237,7 @@ def post_scale_sums(state: model.SeparationState, X: np.ndarray) -> np.ndarray:
         _, _, pm2, w2 = optimizer._row_system(p2_row, inv_chi, cache.xx, q_row, m, beta)
         post = (st.spatial.Q[active, m, None, :] @ cache.x)[:, 0, :]
         sums[:, m] = optimizer._scaled_power(np.abs(post) ** 2, pm2, w2, beta).sum(axis=1)
-        p2_row, q_row = p2.copy(), st.spatial.Q[active]
+        p2_row, q_row = p2[active], st.spatial.Q[active]
 
     optimizer._q_rows(state, cache, p2, on_phase=after_row)
     return sums

@@ -30,8 +30,6 @@ PUBLIC = {
     "IterationReport",
     "normalize_and_rescale",
     "run",
-    "update_q",
-    "update_tvzg",
     "SeparatedSources",
     "wiener_separate",
     "MixtureBundle",
@@ -44,7 +42,7 @@ PUBLIC = {
 
 def test_all_is_the_public_api():
     # test oracles live in tests/oracles.py, not in the package
-    assert len(sgmnmf.__all__) == len(PUBLIC) == 32
+    assert len(sgmnmf.__all__) == len(PUBLIC) == 30
     assert set(sgmnmf.__all__) == PUBLIC
 
 

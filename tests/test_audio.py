@@ -9,9 +9,9 @@ import helpers
 from sgmnmf import audio
 from sgmnmf.errors import (
     CorruptHeaderError,
+    DimensionMismatchError,
     EmptyInputError,
     NonFiniteError,
-    ShapeMismatchError,
     UnsupportedFormatError,
 )
 
@@ -59,13 +59,13 @@ class TestStftRoundTrip:
 
     def test_wrong_bin_count_raises(self):
         cfg = audio.StftConfig()
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(DimensionMismatchError):
             audio.istft(np.zeros((10, 4, 1), dtype=complex), cfg, 100)
 
     def test_length_beyond_frames_raises(self):
         cfg = audio.StftConfig()
         spec = audio.stft(audio.Waveform(16000, np.zeros((500, 1))), cfg)
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(DimensionMismatchError):
             audio.istft(spec, cfg, 500_000)
 
 

@@ -385,11 +385,13 @@ class TestPipeline:
         assert "nan.wav: non-finite value nan at channel 1, sample 123" in capsys.readouterr().err
         assert not (out / "state.json").exists()
 
-    @pytest.mark.parametrize("kind", ["mono", "nan"])
-    def test_rejected_mixture_leaves_no_output_dir(self, tmp_path, kind):
+    @pytest.mark.parametrize("kind", ["mono", "nan", "zero_channel", "silent"])
+    def test_rejected_mixture_leaves_no_output_dir(self, tmp_path, capsys, kind):
         data = np.zeros((1000, 1 if kind == "mono" else 2))
         if kind == "nan":
             data[123, 1] = np.nan
+        if kind == "zero_channel":
+            data[:, 0] = np.random.default_rng(390).uniform(-0.5, 0.5, 1000)
         mix = tmp_path / f"{kind}.wav"
         audio.write_wav(mix, audio.Waveform(16000, data))
         out = tmp_path / "o"
@@ -397,6 +399,11 @@ class TestPipeline:
         run_path = tmp_path / "run.json"
         run_path.write_text(json.dumps(run_doc))
         assert cli.main(["separate", "--config", str(run_path)]) == 1
+        message = {
+            "zero_channel": f"error: {mix}: channel 1 has no nonzero sample",
+            "silent": f"error: {mix}: the mixture has no nonzero sample",
+        }
+        assert message.get(kind, "error: ") in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("duration_s", [1e-6, 2 / 16000, float("inf"), float("nan")])

@@ -167,8 +167,8 @@ def test_projections_carried_across_q_sweep(n_ch, n_src, n_bases, algorithm, bet
     for _ in range(2):
         optimizer._q_rows(st, cache, p2)
         fresh = np.abs(model.projections(st, X)[cache.active]) ** 2
-        _assert_close(p2, _cm(fresh), axes=(1, 2))
-        assert np.array_equal(cache.power(p2)[2], np.zeros((n_ch, X.shape[1])))
+        _assert_close(p2[cache.active], _cm(fresh), axes=(1, 2))
+        assert np.array_equal(p2[2], np.zeros((n_ch, X.shape[1])))
 
 
 def test_worker_count_does_not_change_results_three_channels():
@@ -202,7 +202,8 @@ def test_singular_system_names_frequency_bin(algorithm, beta, workers):
     st, X = _failing_bin_scene(algorithm, beta)
     st.spatial.Q[3, 1, :] = 0.0  # Q_3 singular: every row system there is too
     with pytest.raises(SingularMatrixError, match=r"row 0, frequency bin 3\b") as info:
-        optimizer.update_q(st, X, workers=workers)
+        cache = optimizer.FrameCache(X)
+        optimizer._q_rows(st, cache, cache.projection_powers(st.spatial.Q), workers)
     assert info.value.index == 3
 
 
@@ -223,11 +224,13 @@ def test_nonfinite_row_scale_names_frequency_bin(monkeypatch):
     st, X = _failing_bin_scene()
     _poison_solve(monkeypatch, 2, np.nan)
     with pytest.raises(NonFiniteError, match=r"row 0, frequency bin 3\b"):
-        optimizer.update_q(st, X)
+        cache = optimizer.FrameCache(X)
+        optimizer._q_rows(st, cache, cache.projection_powers(st.spatial.Q))
 
 
 def test_nonpositive_normalizer_names_frequency_bin(monkeypatch):
     st, X = _failing_bin_scene("gaussian", 2.0)
     _poison_solve(monkeypatch, 2, 0.0)
     with pytest.raises(NonFiniteError, match=r"normalizer.*row 0, frequency bin 3\b"):
-        optimizer.update_q(st, X)
+        cache = optimizer.FrameCache(X)
+        optimizer._q_rows(st, cache, cache.projection_powers(st.spatial.Q))

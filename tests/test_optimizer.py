@@ -6,7 +6,7 @@ import pytest
 import helpers
 import oracles
 from sgmnmf import model, objective, optimizer
-from sgmnmf.errors import NonFiniteError, SingularMatrixError
+from sgmnmf.errors import DimensionMismatchError, NonFiniteError, SingularMatrixError
 
 
 class TestSubupdateDescent:
@@ -84,7 +84,7 @@ class TestMultiplicativeRules:
             if name == "t" and not first:
                 first["t"] = state.source.T.copy()
 
-        optimizer.update_tvzg(st, X, on_phase=grab)
+        optimizer.run(st, X, on_subupdate=grab)
         np.testing.assert_allclose(first["t"], want, rtol=1e-10)
 
     def test_gaussian_rule_is_square_root(self):
@@ -107,7 +107,7 @@ class TestMultiplicativeRules:
             if name == "t" and not first:
                 first["t"] = state.source.T.copy()
 
-        optimizer.update_tvzg(st, X, on_phase=grab)
+        optimizer.run(st, X, on_subupdate=grab)
         np.testing.assert_allclose(first["t"], want, rtol=1e-10)
 
 
@@ -126,7 +126,8 @@ class TestDiagonalizerUpdates:
         X = helpers.random_mixture(rng, 5, 7, 2)
         X[2] = 0.0
         q_before = st.spatial.Q[2].copy()
-        optimizer.update_q(st, X)
+        cache = optimizer.FrameCache(X)
+        optimizer._q_rows(st, cache, cache.projection_powers(st.spatial.Q))
         np.testing.assert_array_equal(st.spatial.Q[2], q_before)
         assert np.isfinite(st.spatial.Q).all()
 
@@ -135,7 +136,8 @@ class TestDiagonalizerUpdates:
         rng = np.random.default_rng(123)
         st = helpers.random_state(rng, n_bins=4, n_frames=9, beta=2.0, algorithm="gaussian")
         X = helpers.random_mixture(rng, 4, 9, 2)
-        optimizer.update_q(st, X)
+        cache = optimizer.FrameCache(X)
+        optimizer._q_rows(st, cache, cache.projection_powers(st.spatial.Q))
         chi = model.mixture_gain(st)
         for i in range(4):
             for m in range(2):
@@ -228,6 +230,27 @@ class TestRun:
         assert np.isfinite(trace.costs).all()
         np.testing.assert_array_equal(out.spatial.Q, q0)
 
+    @pytest.mark.parametrize("n_frames", [6, 1])
+    def test_frame_count_mismatch_names_both(self, n_frames):
+        rng = np.random.default_rng(146)
+        st = helpers.random_state(rng, n_bins=5, n_frames=7)
+        X = helpers.random_mixture(rng, 5, n_frames, 2)
+        msg = rf"^spectrogram \(5, {n_frames}, 2\) has {n_frames} frames; the state has 7 frames$"
+        with pytest.raises(DimensionMismatchError, match=msg):
+            optimizer.run(st, X)
+
+    @pytest.mark.parametrize("n_ch,bound", [(2, 7.0), (3, 7.5)])
+    def test_peak_memory_bound(self, n_ch, bound):
+        # one more (I, M, J) float64 array alive at the peak is 0.5 x X.nbytes
+        rng = np.random.default_rng(147)
+        st = helpers.random_state(
+            rng, n_bins=129, n_frames=40, n_channels=n_ch, n_sources=n_ch, n_bases=8,
+            iterations=3,
+        )
+        X = helpers.random_mixture(rng, 129, 40, n_ch)
+        _, peak = helpers.traced_peak(optimizer.run, st, X)
+        assert peak <= bound * X.nbytes
+
     def test_row_failure_names_iteration(self, monkeypatch):
         # two row solves per iteration at M = 2: the third is iteration 2, row 0
         calls = []
@@ -319,9 +342,10 @@ class TestFailureLocation:
         rng = np.random.default_rng(161)
         st = helpers.random_state(rng, n_bins=6, n_frames=7, n_bases=3)
         with pytest.raises(
-            NonFiniteError, match=rf"^update factor for '{family}' contains NaN/Inf at {where}$"
+            NonFiniteError,
+            match=rf"^iteration 1: update factor for '{family}' contains NaN/Inf at {where}$",
         ):
-            optimizer.update_tvzg(st, helpers.random_mixture(rng, 6, 7, 2))
+            optimizer.run(st, helpers.random_mixture(rng, 6, 7, 2))
 
     def test_run_keeps_iteration_prefix(self, monkeypatch):
         _poison_family(monkeypatch, "v", (0, 4), from_call=2)
@@ -347,7 +371,9 @@ class TestFixedPoint:
         # factor equal to one
         rng = np.random.default_rng(151)
         beta = 3.4
-        st = helpers.random_state(rng, n_bins=3, n_frames=5, n_channels=2, beta=beta)
+        st = helpers.random_state(
+            rng, n_bins=3, n_frames=5, n_channels=2, beta=beta, iterations=1
+        )
         chi = model.mixture_gain(st)
         m_ch = 2
         c = ((2.0 / beta) * m_ch ** ((2.0 - beta) / 2.0)) ** (2.0 / beta)
@@ -374,7 +400,7 @@ class TestFixedPoint:
             elif name == "g":
                 snaps["g"] = state.spatial.G.copy()
 
-        optimizer.update_tvzg(st, X, on_phase=grab)
+        optimizer.run(st, X, on_subupdate=grab)
         np.testing.assert_allclose(snaps["t"], before["t"], rtol=1e-7)
         np.testing.assert_allclose(snaps["v"], before["v"], rtol=1e-7)
         np.testing.assert_allclose(snaps["z"], before["z"], rtol=1e-7)
