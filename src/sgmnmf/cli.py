@@ -10,8 +10,16 @@ import json
 import os
 import sys
 
-from . import audio, config, metrics, model, optimizer, separate, simulate
-from .errors import ConfigError, DimensionMismatchError, EmptyInputError, SgmnmfError
+import numpy as np
+
+from . import audio, config, linalg, metrics, model, optimizer, separate, simulate
+from .errors import (
+    ConfigError,
+    DimensionMismatchError,
+    EmptyInputError,
+    SgmnmfError,
+    SingularMatrixError,
+)
 
 
 def _load_json(path):
@@ -52,6 +60,21 @@ def cmd_simulate(spec_path, out_dir):
     return 0
 
 
+def _require_independent_channels(path, spec):
+    """SingularMatrixError if the channels are linearly dependent in every bin with energy.
+
+    The test is linalg's singularity check on each bin's frame covariance
+    sum_j x_ij x_ij^H.  A few rank-deficient bins leave the spatial model
+    enough to work with, so only all of them are an error.
+    """
+    live = np.abs(spec).max(axis=(1, 2)) > 0
+    cov = spec.transpose(0, 2, 1) @ spec.conj()
+    if linalg.singular_mask(cov)[live].all():
+        raise SingularMatrixError(
+            f"{path}: the channels are linearly dependent in every frequency bin"
+        )
+
+
 def cmd_separate(cfg: config.RunConfig, workers: int = 1):
     if cfg.mixture is None:
         raise SgmnmfError("paths.mixture: required for separate")
@@ -72,10 +95,11 @@ def cmd_separate(cfg: config.RunConfig, workers: int = 1):
             f"{cfg.window_ms} ms is {stft_cfg.window_length} samples, longer than the "
             f"{wave.n_samples}-sample mixture",
         )
+    spec = audio.stft(wave, stft_cfg)
+    _require_independent_channels(cfg.mixture, spec)
     # a rejected input leaves no directory; an unwritable one fails before the run
     out_dir = cfg.out if cfg.out is not None else "."
     os.makedirs(out_dir, exist_ok=True)
-    spec = audio.stft(wave, stft_cfg)
     n_bins, n_frames, n_ch = spec.shape
 
     state = model.init_state(cfg.hyper(), n_bins, n_frames, n_ch)

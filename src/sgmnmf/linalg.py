@@ -1,7 +1,8 @@
 """Checked dense complex linear algebra for the optimizer.
 
-Both routines accept a single matrix ``(M, M)`` or a stack ``(..., M, M)``.
-One shared check rejects numerically singular matrices: A is singular when
+Every routine accepts a single matrix ``(M, M)`` or a stack ``(..., M, M)``.
+One shared check rejects numerically singular matrices, and singular_mask
+exposes it as a mask: A is singular when
 
     |det A| <= RTOL * prod_k ||a_k||        (a_k the columns of A).
 
@@ -57,13 +58,17 @@ def _scaled_columns(a):
     return e, mag.sum(axis=0), inv_scale
 
 
-def _require_regular(abs_det, norms2):
-    """Raise SingularMatrixError at the first matrix failing the Hadamard ratio.
+def _fails_ratio(abs_det, norms2):
+    """The check as a mask: True where |det| <= RTOL x the product of the column norms.
 
     abs_det is |det| of the column-scaled matrices and norms2 their
     squared column norms, (M, ...).
     """
-    bad = abs_det <= RTOL * np.sqrt(norms2.prod(axis=0))
+    return abs_det <= RTOL * np.sqrt(norms2.prod(axis=0))
+
+
+def _require_regular(bad):
+    """Raise SingularMatrixError at the first matrix the mask `bad` marks."""
     if bad.any():
         idx = int(np.flatnonzero(bad)[0])
         raise SingularMatrixError(
@@ -73,19 +78,25 @@ def _require_regular(abs_det, norms2):
 
 
 def _factor_2x2(a):
-    """(scaled entries (2, 2, ...), their det, 1 / column scales (2, ...)); checked."""
+    """(scaled entries (2, 2, ...), their det, 1 / column scales (2, ...), singular mask)."""
     e, norms2, inv_scale = _scaled_columns(a)
     det = e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]
-    _require_regular(np.abs(det), norms2)
-    return e, det, inv_scale
+    return e, det, inv_scale, _fails_ratio(np.abs(det), norms2)
 
 
-def _checked_slogdet(a):
-    """log|det a| from LAPACK, for any size; checked."""
+def _slogdet(a):
+    """(log|det a| from LAPACK, singular mask), for any size."""
     _, logdet = np.linalg.slogdet(a)
     _, norms2, inv_scale = _scaled_columns(a)
-    _require_regular(np.exp(logdet + np.log(inv_scale).sum(axis=0)), norms2)
-    return logdet
+    return logdet, _fails_ratio(np.exp(logdet + np.log(inv_scale).sum(axis=0)), norms2)
+
+
+def singular_mask(a):
+    """True for each matrix of the stack that the singularity check rejects."""
+    a = _validated(a)
+    if a.shape[-1] == 2:
+        return _factor_2x2(a)[3]
+    return _slogdet(a)[1]
 
 
 def solve(a, b):
@@ -98,14 +109,15 @@ def solve(a, b):
     bm = b[..., None] if vector else b
     if a.shape[-1] == 2:
         # A = E diag(s): x = diag(1/s) adj(E) b / det E, per right-hand column
-        e, det, inv_scale = _factor_2x2(a)
+        e, det, inv_scale, bad = _factor_2x2(a)
+        _require_regular(bad)
         e = e[..., None]
         c = (inv_scale / det)[..., None]
         b0, b1 = bm[..., 0, :], bm[..., 1, :]
         x0 = (e[1, 1] * b0 - e[0, 1] * b1) * c[0]
         x = np.stack([x0, (e[0, 0] * b1 - e[1, 0] * b0) * c[1]], axis=-2)
     else:
-        _checked_slogdet(a)
+        _require_regular(_slogdet(a)[1])
         x = np.linalg.solve(a, bm)
     return x[..., 0] if vector else x
 
@@ -114,6 +126,9 @@ def log_abs_det(a):
     """log|det A|, a scalar per matrix in the stack."""
     a = _validated(a)
     if a.shape[-1] == 2:
-        _, det, inv_scale = _factor_2x2(a)
+        _, det, inv_scale, bad = _factor_2x2(a)
+        _require_regular(bad)
         return np.log(np.abs(det)) - np.log(inv_scale).sum(axis=0)
-    return _checked_slogdet(a)
+    logdet, bad = _slogdet(a)
+    _require_regular(bad)
+    return logdet

@@ -135,13 +135,13 @@ def init_state(hyper: Hyperparams, n_bins: int, n_frames: int, n_channels: int) 
     return SeparationState(SourceModel(t, v, z), SpatialModel(q, g), hyper)
 
 
-def sum_channels(x):
-    """Sum over the channel axis (second to last), adding channels in order.
+def sum_channels(x, out):
+    """Sum over the channel axis (second to last) into out, adding channels in order.
 
     Bitwise equal to ``x.sum(axis=-2)``, and faster than numpy's
     reduction over an axis this short.
     """
-    out = x[..., 0, :].copy()
+    np.copyto(out, x[..., 0, :])
     for c in range(1, x.shape[-2]):
         out += x[..., c, :]
     return out
@@ -154,15 +154,17 @@ def _check_bases(t, v, z):
         )
 
 
-def channel_gain(t, v, z, g):
+def channel_gain(t, v, z, g, out):
     """chi in channel-major layout (I, M, J), one matmul over the bases.
 
-    chi_imj = sum_k w_imk v_kj with w_imk = t_ik sum_n z_kn g_inm.  Takes
-    the factor arrays so callers can pass a subset of bins.
+    chi_imj = sum_k w_imk v_kj with w_imk = t_ik sum_n z_kn g_inm, written
+    into out, a C-contiguous (I, M, J) array.  Takes the factor arrays so
+    callers can pass a subset of bins.
     """
     _check_bases(t, v, z)
     w = t[:, None, :] * (g.transpose(0, 2, 1) @ z.T)
-    return (w.reshape(-1, w.shape[2]) @ v).reshape(w.shape[0], w.shape[1], v.shape[1])
+    np.matmul(w.reshape(-1, w.shape[2]), v, out=out.reshape(-1, v.shape[1]))
+    return out
 
 
 def compute_source_psd(source: SourceModel) -> np.ndarray:
@@ -177,7 +179,9 @@ def compute_source_psd(source: SourceModel) -> np.ndarray:
 def mixture_gain(state: SeparationState) -> np.ndarray:
     """chi_ijm = sum_{k,n} t_ik v_kj z_kn g_inm, shape (I, J, M)."""
     src = state.source
-    return channel_gain(src.T, src.V, src.Z, state.spatial.G).transpose(0, 2, 1)
+    i, j, _, _, m = state.dims
+    chi = channel_gain(src.T, src.V, src.Z, state.spatial.G, np.empty((i, m, j)))
+    return chi.transpose(0, 2, 1)
 
 
 def projections(state: SeparationState, X: np.ndarray) -> np.ndarray:

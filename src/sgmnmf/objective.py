@@ -23,19 +23,23 @@ def cost_ggd_jd(state: model.SeparationState, X: np.ndarray) -> float:
     """
     p2 = np.abs(model.projections(state, X)) ** 2
     chi = model.mixture_gain(state).transpose(0, 2, 1)
-    y = model.sum_channels(p2.transpose(0, 2, 1) / chi)
-    return jd_cost(state.spatial.Q, y, chi, state.hyper.beta)
+    y = model.sum_channels(p2.transpose(0, 2, 1) / chi, np.empty(p2.shape[:2]))
+    return jd_cost(state.spatial.Q, y, chi, state.hyper.beta, np.empty_like(y))
 
 
-def jd_cost(q: np.ndarray, y: np.ndarray, chi: np.ndarray, beta: float) -> float:
+def jd_cost(
+    q: np.ndarray, y: np.ndarray, chi: np.ndarray, beta: float, y_pow: np.ndarray
+) -> float:
     """cost_ggd_jd from y = sum_m |p_m|^2 / chi_m, (I, J), and chi.
 
-    The optimizer builds y once per state and shares it with its next
-    t family.
+    Works in the arrays it is given: chi is overwritten with log chi and
+    y_pow, (I, J), with y^{beta/2}.  The optimizer builds y once per
+    state and shares it with its next t family.
     """
     n_frames = y.shape[1]
     det_term = -2.0 * n_frames * np.sum(linalg.log_abs_det(q))
-    val = det_term + np.sum(np.log(chi)) + np.sum(y ** (beta / 2.0))
+    log_chi = np.log(chi, out=chi)
+    val = det_term + np.sum(log_chi) + np.sum(np.power(y, beta / 2.0, out=y_pow))
     if not math.isfinite(val):
         raise NonFiniteError("objective evaluated to NaN/Inf")
     return float(val)

@@ -12,11 +12,16 @@ diagonalizer row sweep (_q_rows); only its row rule (iterative
 projection) differs.
 
 `run` is the only driver.  It computes what X alone determines once per
-run (FrameCache) and carries the projection powers p2 = |Q x|^2 over
-all bins, silent bins at zero, from one sub-update to the next.  After
-each normalization it builds 1/chi and y = sum_m p2_m / chi_m once,
-for the cost and for the next t family.  Arrays over (bin, channel,
-frame) use model's channel-major layout (I, M, J).
+run (FrameCache: the active bins and the packed, real frame products;
+X itself is read in place) and carries the projection powers
+p2 = |Q x|^2 over all bins, silent bins at zero, from one sub-update to
+the next.  Every other per-iteration array of (bin, channel, frame) or
+(bin, frame) size is a buffer that run allocates once (_Buffers) and
+the private kernels write into, so an iteration allocates no large
+array.  After each normalization it builds 1/chi and
+y = sum_m p2_m / chi_m once, for the cost and for the next t family.
+Arrays over (bin, channel, frame) use model's channel-major layout
+(I, M, J).
 """
 
 import time
@@ -37,53 +42,146 @@ PROJ_FLOOR = 1e-8
 DIAG_LOAD = 1e-14
 
 
-def _gain(state, bins=slice(None)):
-    """chi over the given bins, channel-major."""
+def _gain(state, out, bins=slice(None)):
+    """chi over the given bins, channel-major, written into out."""
     src = state.source
-    return model.channel_gain(src.T[bins], src.V, src.Z, state.spatial.G[bins])
+    return model.channel_gain(src.T[bins], src.V, src.Z, state.spatial.G[bins], out)
 
 
-def _outer_products(X):
-    """Frame outer products x_ij x_ij^H flattened to (I, J, M^2)."""
-    X = np.asarray(X, dtype=np.complex128)
-    n_bins, n_frames, n_ch = X.shape
-    xx = X[:, :, :, None] * X[:, :, None, :].conj()
-    return xx.reshape(n_bins, n_frames, n_ch * n_ch)
+def _packed_products(x):
+    """The frame products x_ij x_ij^H of x (B, J, M), packed real as (B, J, M^2).
+
+    Per frame: the M powers |x_m|^2, then the real and then the
+    imaginary parts of the M(M-1)/2 upper entries x_a conj(x_b), a < b,
+    in np.triu_indices order.
+    """
+    n_ch = x.shape[-1]
+    upper = np.triu_indices(n_ch, 1)
+    n_pairs = upper[0].size
+    xx = np.empty(x.shape[:2] + (n_ch * n_ch,))
+    for c in range(n_ch):
+        xx[..., c] = (x[..., c] * x[..., c].conj()).real
+    for k, (a, b) in enumerate(zip(*upper)):
+        prod = x[..., a] * x[..., b].conj()
+        xx[..., n_ch + k] = prod.real
+        xx[..., n_ch + n_pairs + k] = prod.imag
+    return xx
 
 
 class FrameCache:
     """What the diagonalizer rules need from X, built once per run.
 
     active: bins with a nonzero frame (silent bins keep their Q_i);
-    x: X[active] channel-major, (A, M, J);
-    xx: the frame outer products of X[active], (A, J, M^2), so each
-    weighted covariance sum_j w_j x_j x_j^H is one matmul.
+    bins: the same bins as a slice when every bin is active, so that
+    indexing with it makes views, not copies;
+    x: X at the active bins, (A, J, M): X itself, read in place, when
+    every bin is active;
+    xx: the frame products of x packed real (see _packed_products),
+    (A, J, M^2) float64, so each weighted covariance sum_j w_j x_j x_j^H
+    is one real matmul and comes out exactly Hermitian.
     """
 
     def __init__(self, X: np.ndarray):
-        self.n_bins = X.shape[0]
+        X = np.asarray(X, dtype=np.complex128)
+        self.shape = X.shape
         self.active = np.flatnonzero(np.abs(X).max(axis=(1, 2)) > 0)
-        xa = np.asarray(X[self.active], dtype=np.complex128)
-        self.x = np.ascontiguousarray(xa.transpose(0, 2, 1))
-        self.xx = _outer_products(xa)
+        self.bins = slice(None) if self.active.size == X.shape[0] else self.active
+        self.x = X[self.bins]
+        self.xx = _packed_products(self.x)
 
     def projection_powers(self, q):
         """|Q x|^2 over all bins, (I, M, J); silent bins are zero."""
-        if q.shape[0] != self.n_bins or q.shape[1] != self.x.shape[1]:
+        n_bins, n_frames, n_ch = self.shape
+        if q.shape[0] != n_bins or q.shape[1] != n_ch:
             raise DimensionMismatchError(
-                f"spectrogram with {self.n_bins} bins x {self.x.shape[1]} channels "
+                f"spectrogram with {n_bins} bins x {n_ch} channels "
                 f"incompatible with Q {q.shape}"
             )
-        out = np.zeros((self.n_bins,) + self.x.shape[1:])
-        out[self.active] = np.abs(q[self.active] @ self.x) ** 2
+        out = np.zeros((n_bins, n_ch, n_frames))
+        out[self.bins] = np.abs(q[self.bins] @ self.x.transpose(0, 2, 1)) ** 2
         return out
 
 
+@dataclass
+class _RowScratch:
+    """The row sweep's work arrays over a block of active bins.
+
+    s, pm2 (B, J) and the covariance weights w (2, B, J) for _row_system;
+    p (B, J, 1) complex and power (B, J) for the projections of a solved
+    row.  Slicing takes the same bins of each, so blocks of disjoint
+    bins share no memory.
+    """
+
+    s: np.ndarray
+    pm2: np.ndarray
+    w: np.ndarray
+    p: np.ndarray
+    power: np.ndarray
+
+    def __getitem__(self, bins):
+        return _RowScratch(
+            self.s[bins], self.pm2[bins], self.w[:, bins], self.p[bins], self.power[bins]
+        )
+
+
+def _views(block, *shapes):
+    """Consecutive C-contiguous views of the flat float64 block, one per shape."""
+    views, at = [], 0
+    for shape in shapes:
+        size = int(np.prod(shape))
+        views.append(block[at : at + size].reshape(shape))
+        at += size
+    return views
+
+
+class _Buffers:
+    """Every per-iteration array of a run, allocated once by run.
+
+    chi (I, M, J) holds chi, or 1/chi at the active bins during a row
+    sweep.  The NMF weights -- ab, the _chi_weights stack (2, I, M, J),
+    and y, y_pow (I, J) -- are alive from the cost to the g family, and
+    rows, the row sweep's _RowScratch over the active bins, only during
+    the sweep, so the two share one block of memory.  When some bin is
+    silent, q and p2 take a block's gathered Q and projection powers.
+    """
+
+    def __init__(self, cache: FrameCache):
+        n_bins, n_frames, n_ch = cache.shape
+        n_active = cache.active.size
+        self.chi = np.empty((n_bins, n_ch, n_frames))
+        nmf = [(2, n_bins, n_ch, n_frames), (n_bins, n_frames), (n_bins, n_frames)]
+        # p (complex, as float pairs) first, where the block is aligned for it
+        rows = [(n_active, n_frames, 2), (n_active, n_frames), (n_active, n_frames),
+                (2, n_active, n_frames), (n_active, n_frames)]
+        size = max(sum(int(np.prod(shape)) for shape in shapes) for shapes in (nmf, rows))
+        block = np.empty(size)
+        self.ab, self.y, self.y_pow = _views(block, *nmf)
+        p, s, pm2, w, power = _views(block, *rows)
+        self.rows = _RowScratch(s, pm2, w, p.view(np.complex128), power)
+        if n_active < n_bins:
+            self.q = np.empty((n_active, n_ch, n_ch), dtype=np.complex128)
+            self.p2 = np.empty((n_active, n_ch, n_frames))
+
+
 def _weighted_cov(w, xx):
-    """sum_j w_ij x_ij x_ij^H, (B, [S,] M, M), for real weights w (B, [S,] J)."""
+    """sum_j w_ij x_ij x_ij^H, (B, [S,] M, M), for real weights w (B, [S,] J).
+
+    xx holds the packed frame products; the result is exactly Hermitian,
+    with a real diagonal.
+    """
     n_ch = int(round(np.sqrt(xx.shape[2])))
-    u = w.reshape(w.shape[0], -1, w.shape[-1]) @ xx.view(np.float64)
-    return u.view(np.complex128).reshape(w.shape[:-1] + (n_ch, n_ch))
+    a, b = np.triu_indices(n_ch, 1)
+    diag = np.arange(n_ch)
+    u = w.reshape(w.shape[0], -1, w.shape[-1]) @ xx
+    re, im = u[..., n_ch : n_ch + a.size], u[..., n_ch + a.size :]
+    cov = np.empty(u.shape[:2] + (n_ch, n_ch), dtype=np.complex128)
+    cov.real[..., diag, diag] = u[..., :n_ch]
+    cov.imag[..., diag, diag] = 0.0
+    cov.real[..., a, b] = re
+    cov.imag[..., a, b] = im
+    cov.real[..., b, a] = re
+    cov.imag[..., b, a] = -im
+    return cov.reshape(w.shape[:-1] + (n_ch, n_ch))
 
 
 def _mat_mul(a, b):
@@ -115,14 +213,13 @@ def _check_factor(name, factor):
         raise NonFiniteError(f"update factor for {name!r} contains NaN/Inf at {where}")
 
 
-def _chi_weights(p2, chi):
-    """[p2 / chi, 1 / chi] as one (2, I, M, J) buffer.
+def _chi_weights(p2, chi, ab):
+    """[p2 / chi, 1 / chi] into ab, a (2, I, M, J) buffer.
 
     p2 = |p|^2 and chi are channel-major; p2 / chi is formed as p2 * (1 / chi).
     A caller that needs y = sum_m p2_m / chi_m takes
-    model.sum_channels(ab[0]) before _family_sums overwrites the buffer.
+    model.sum_channels(ab[0], y) before _family_sums overwrites the buffer.
     """
-    ab = np.empty((2,) + p2.shape)
     np.divide(1.0, chi, out=ab[1])
     np.multiply(p2, ab[1], out=ab[0])
     return ab
@@ -133,7 +230,8 @@ def _family_sums(name, state, ab, y):
 
     Takes _chi_weights at the current state and overwrites its buffer:
     one matmul gives both sums over the stack [p2 y^{beta/2-1} / chi^2,
-    1 / chi].  y is read only when beta != 2 (may be None otherwise).
+    1 / chi].  y is read, and overwritten with y^{beta/2-1}, only when
+    beta != 2.
     """
     t, v, z = state.source.T, state.source.V, state.source.Z
     g = state.spatial.G
@@ -141,7 +239,7 @@ def _family_sums(name, state, ab, y):
     n_bases, n_src = z.shape
     # y^0 = 1 exactly, so the Gaussian model skips the power
     if state.hyper.beta != 2.0:
-        ab[0] *= (y ** (state.hyper.beta / 2.0 - 1.0))[:, None, :]
+        ab[0] *= np.power(y, state.hyper.beta / 2.0 - 1.0, out=y)[:, None, :]
     ab[0] *= ab[1]
     if name in ("t", "v"):
         zg = g.transpose(0, 2, 1) @ z.T  # sum_n z_kn g_inm, (I, M, K)
@@ -151,7 +249,7 @@ def _family_sums(name, state, ab, y):
     # c_imk = sum_j v_kj [a, b]_imj
     c = (ab.reshape(-1, n_frames) @ v.T).reshape(2, n_bins, n_ch, n_bases)
     if name == "t":
-        return model.sum_channels(zg * c)
+        return model.sum_channels(zg * c, np.empty((2, n_bins, n_bases)))
     if name == "z":
         tc = (t[:, None, :] * c).reshape(2, -1, n_bases)
         return (g.transpose(1, 0, 2).reshape(n_src, -1) @ tc).transpose(0, 2, 1)
@@ -159,13 +257,13 @@ def _family_sums(name, state, ab, y):
     return tz @ c.transpose(0, 1, 3, 2)
 
 
-def _sweep_tvzg(state, p2, shared, on_phase):
+def _sweep_tvzg(state, p2, buf, on_phase):
     """The t, v, z, g sweep from the projection powers p2, (I, M, J).
 
     Each factor is theta * (beta*num / (2*den))^{2/(beta+2)}.  The first
-    family takes the _chi_weights and y that the cost put into the list
-    `shared`, so their buffer is freed once used; every later family
-    builds its own from the latest state, and y only when beta != 2.
+    family reads the _chi_weights and y that _cost left in buf; every
+    later family builds its own from the latest state, and y only when
+    beta != 2.
     """
     beta = state.hyper.beta
     eps = state.hyper.floor_eps
@@ -173,13 +271,11 @@ def _sweep_tvzg(state, p2, shared, on_phase):
     arrays = {"t": state.source.T, "v": state.source.V, "z": state.source.Z,
               "g": state.spatial.G}
     for name, arr in arrays.items():
-        if shared:
-            ab, y = shared.pop()
-        else:
-            ab = _chi_weights(p2, _gain(state))
-            y = model.sum_channels(ab[0]) if beta != 2.0 else None
-        num, den = _family_sums(name, state, ab, y)
-        ab = y = None
+        if name != "t":
+            _chi_weights(p2, _gain(state, buf.chi), buf.ab)
+            if beta != 2.0:
+                model.sum_channels(buf.ab[0], buf.y)
+        num, den = _family_sums(name, state, buf.ab, buf.y)
         factor = (beta * num / (2.0 * den)) ** expo
         _check_factor(name, factor)
         arr *= factor
@@ -192,15 +288,16 @@ def _sweep_tvzg(state, p2, shared, on_phase):
 # diagonalizer updates
 
 
-def _row_system(p2, inv_chi, xx, q, m, beta):
+def _row_system(p2, inv_chi, xx, q, m, beta, work):
     """Per-bin quantities for the sub-Gaussian update of row m.
 
     Takes the projection powers p2 = |p|^2 and inverse gains 1/chi (B, M, J), the
-    frame outer products xx (B, J, M^2) and Q (B, M, M).  Returns (U, B,
-    pm2, w2): the new row solves (Q B)^{-1} e_m, and pm2 = |p_m|^2
-    (floored) and w2 = |p_m|^{beta-2} / r^beta feed the ray-scale step,
-    with r the auxiliary radius.  Frames with zero energy are masked out
-    of all sums (they contribute nothing to the objective).
+    packed frame products xx (B, J, M^2), Q (B, M, M) and the block's
+    _RowScratch.  Returns (U, B, pm2, w2): the new row solves
+    (Q B)^{-1} e_m, and pm2 = |p_m|^2 (floored) and w2 = |p_m|^{beta-2} /
+    r^beta, views of work.pm2 and work.w, feed the ray-scale step, with r
+    the auxiliary radius.  Frames with zero energy are masked out of all
+    sums (they contribute nothing to the objective).
 
     With s = sum_m |p_m|^2 / chi_m, r^beta = |p_m|^{beta-2} chi_m
     s^{1-beta/2}, so both covariance weights need one general power:
@@ -216,19 +313,24 @@ def _row_system(p2, inv_chi, xx, q, m, beta):
     consistent; the tangency slack it introduces is second order in the
     floor, far below the descent tolerance.
     """
-    s = model.sum_channels(p2 * inv_chi)
-    mask = s > 0
-    s_safe = np.where(mask, s, 1.0)
+    s, pm2 = work.s, work.pm2
+    # s channel by channel, in model.sum_channels' order
+    np.multiply(p2[:, 0], inv_chi[:, 0], out=s)
+    for c in range(1, p2.shape[1]):
+        s += np.multiply(p2[:, c], inv_chi[:, c], out=pm2)
+    silent = ~(s > 0)
+    np.copyto(s, 1.0, where=silent)
     icm = inv_chi[:, m, :]
-    pm2 = np.maximum(p2[:, m, :], PROJ_FLOOR**2 * s_safe / icm)
-    # the covariance weights [w1, w2] side by side, so one matmul takes both
-    w = np.empty((p2.shape[0], 2, p2.shape[2]))
-    w2 = w[:, 1]
-    np.divide(icm, s_safe ** (1.0 - beta / 2.0), out=w2)
-    w2[~mask] = 0.0
-    np.divide(w2, pm2, out=w[:, 0])
-    np.sqrt(w[:, 0], out=w[:, 0])
-    cov = _weighted_cov(w, xx)
+    np.multiply(PROJ_FLOOR**2, s, out=pm2)
+    np.divide(pm2, icm, out=pm2)
+    np.maximum(p2[:, m, :], pm2, out=pm2)
+    # the covariance weights [w1, w2], so one matmul takes both
+    w1, w2 = work.w
+    np.divide(icm, np.power(s, 1.0 - beta / 2.0, out=w1), out=w2)
+    np.copyto(w2, 0.0, where=silent)
+    np.divide(w2, pm2, out=w1)
+    np.sqrt(w1, out=w1)
+    cov = _weighted_cov(work.w.transpose(1, 0, 2), xx)
     u = cov[:, 0]
     uq = _mat_mul(u, q[:, m, :, None].conj())
     quq = _mat_mul(q[:, m, None, :], uq)[:, 0, 0].real
@@ -236,9 +338,20 @@ def _row_system(p2, inv_chi, xx, q, m, beta):
     return u, b, pm2, w2
 
 
-def _scaled_power(p2, pm2, w2, beta):
-    """|p|^beta / r^beta per frame from |p|^2 and _row_system's pm2, w2."""
-    return p2 * (p2 / pm2) ** (beta / 2.0 - 1.0) * w2
+def _scaled_power(p2, pm2, w2, beta, out):
+    """|p|^beta / r^beta per frame, into out, from |p|^2 and _row_system's pm2, w2."""
+    np.divide(p2, pm2, out=out)
+    np.power(out, beta / 2.0 - 1.0, out=out)
+    np.multiply(p2, out, out=out)
+    out *= w2
+    return out
+
+
+def _row_power(row, x, p, out):
+    """|row . x_j|^2 per frame into out (B, J), through p (B, J, 1) complex."""
+    np.matmul(x, row[:, :, None], out=p)
+    np.abs(p[:, :, 0], out=out)
+    return np.square(out, out=out)
 
 
 def _require(ok, message, m, bins):
@@ -267,57 +380,65 @@ def _solve_row(q, a, m, bins):
         ) from exc
 
 
-# Each row rule takes a block of bins -- Q (B, M, M), x (B, M, J), the
-# frame outer products xx (B, J, M^2), p2 = |Q x|^2 and 1/chi (B, M, J) --
-# the row m, beta and the blocks' frequency bins, and returns the new
-# row m of Q with its |q^H x|^2, (B, M) and (B, J).
+# Each row rule takes a block of bins -- Q (B, M, M), x (B, J, M), the
+# packed frame products xx (B, J, M^2), p2 = |Q x|^2 and 1/chi (B, M, J) --
+# the row m, beta, the block's frequency bins and its _RowScratch.  It
+# returns the new row m of Q, (B, M), and leaves its |q^H x|^2 in
+# work.power.
 
 
-def _subgaussian_row(q, x, xx, p2, inv_chi, m, beta, bins):
+def _subgaussian_row(q, x, xx, p2, inv_chi, m, beta, bins, work):
     """Auxiliary-function update of row m for beta in (2, 4].
 
     The row is re-solved from (Q_i B_im)^{-1} e_m and then rescaled along
     its ray so that sum_j |q^H x_j|^beta / r_j^beta = 2J/beta, which is
     the exact minimizer of the row surrogate.
     """
-    _, b, pm2, w2 = _row_system(p2, inv_chi, xx, q, m, beta)
+    _, b, pm2, w2 = _row_system(p2, inv_chi, xx, q, m, beta, work)
     qnew = _solve_row(q, b, m, bins)
-    pnew2 = np.abs((qnew.conj()[:, None, :] @ x)[:, 0, :]) ** 2
-    ssum = _scaled_power(pnew2, pm2, w2, beta).sum(axis=1)
-    scale = (2.0 * x.shape[-1] / (beta * ssum)) ** (1.0 / beta)
+    pnew2 = _row_power(qnew.conj(), x, work.p, work.power)
+    ssum = _scaled_power(pnew2, pm2, w2, beta, work.s).sum(axis=1)
+    scale = (2.0 * x.shape[1] / (beta * ssum)) ** (1.0 / beta)
     _require(np.isfinite(scale), "diagonalizer row scale is NaN/Inf", m, bins)
-    return (qnew * scale[:, None]).conj(), pnew2 * (scale**2)[:, None]
+    pnew2 *= (scale**2)[:, None]
+    return (qnew * scale[:, None]).conj()
 
 
-def _gaussian_row(q, x, xx, p2, inv_chi, m, beta, bins):
+def _gaussian_row(q, x, xx, p2, inv_chi, m, beta, bins, work):
     """Iterative projection of row m for the Gaussian model.
 
     The row solves (Q_i U_im)^{-1} e_m, U_im = (1/J) sum_j x_j x_j^H /
     chi_imj, and is normalized to q^H U q = 1 against the true U.
     """
-    u = _weighted_cov(inv_chi[:, m, :], xx) / x.shape[-1]
+    u = _weighted_cov(inv_chi[:, m, :], xx) / x.shape[1]
     qnew = _solve_row(q, u, m, bins)
     quq = _mat_mul(_mat_mul(qnew.conj()[:, None, :], u), qnew[:, :, None])[:, 0, 0].real
     _require(
         (quq > 0) & np.isfinite(quq), "iterative projection normalizer is not positive", m, bins
     )
     row = (qnew / np.sqrt(quq)[:, None]).conj()
-    return row, np.abs((row[:, None, :] @ x)[:, 0, :]) ** 2
+    _row_power(row, x, work.p, work.power)
+    return row
 
 
 _ROW_RULES = {"subgaussian": _subgaussian_row, "gaussian": _gaussian_row}
 
 
-def _q_rows(state, cache, p2, workers=1, on_phase=None):
+def _q_rows(state, cache, p2, buf, workers=1, on_phase=None):
     """One sweep over the rows of every active Q_i; updates p2 in place.
 
     The row rule is the one of state.hyper.algorithm; it reads and
-    writes Q and p2 (I, M, J) at the active bins only.  Each row's
-    active bins are split into up to `workers` contiguous blocks, which
-    run on threads when there are several; every block of a row
-    finishes before the next row starts, and the first error raised by
-    any block is re-raised once all of them have finished.
-    on_phase(f"q_row_{m}", state) fires after each row.
+    writes Q and p2 (I, M, J) at the active bins only, working in buf,
+    the run's _Buffers, whose chi holds 1/chi at the active bins for the
+    sweep.  When every bin is active a block reads Q and p2 through
+    slices; otherwise it gathers them into buf.q and buf.p2.  Each
+    solved row is written back into Q and p2 at once.  Each row's active
+    bins are split into up to `workers` contiguous blocks, which run on
+    threads when there are several; each block works on its own bins of
+    the buffers, every block of a row finishes before the next row
+    starts, and the first error raised by any block is re-raised once
+    all of them have finished.  on_phase(f"q_row_{m}", state) fires
+    after each row.
     """
     active = cache.active
     if active.size == 0:
@@ -325,22 +446,33 @@ def _q_rows(state, cache, p2, workers=1, on_phase=None):
     rule = _ROW_RULES[state.hyper.algorithm]
     beta = state.hyper.beta
     # chi is fixed during the sweep: every row of both rules reads 1/chi
-    inv_chi = 1.0 / _gain(state, active)
+    inv_chi = _gain(state, buf.chi[: active.size], cache.bins)
+    np.divide(1.0, inv_chi, out=inv_chi)
     q_all = state.spatial.Q
+    gather = not isinstance(cache.bins, slice)
 
     def one_block(m, lo, hi):
-        sel = active[lo:hi]
-        row, row_p2 = rule(
-            q_all[sel], cache.x[lo:hi], cache.xx[lo:hi], p2[sel], inv_chi[lo:hi], m, beta, sel
+        if gather:
+            # mode="clip" writes straight into out; the indices are valid
+            sel = active[lo:hi]
+            q = np.take(q_all, sel, axis=0, out=buf.q[lo:hi], mode="clip")
+            p2_blk = np.take(p2, sel, axis=0, out=buf.p2[lo:hi], mode="clip")
+        else:
+            sel = slice(lo, hi)
+            q, p2_blk = q_all[sel], p2[sel]
+        work = buf.rows[lo:hi]
+        row = rule(
+            q, cache.x[lo:hi], cache.xx[lo:hi], p2_blk, inv_chi[lo:hi], m, beta,
+            active[lo:hi], work,
         )
         q_all[sel, m, :] = row
-        p2[sel, m, :] = row_p2
+        p2[sel, m, :] = work.power
 
     bounds = np.linspace(0, active.size, max(1, min(workers, active.size)) + 1).astype(int)
     blocks = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
     pool = ThreadPoolExecutor(max_workers=len(blocks)) if len(blocks) > 1 else None
     try:
-        for m in range(cache.x.shape[1]):
+        for m in range(q_all.shape[1]):
             if pool is None:
                 one_block(m, *blocks[0])
             else:
@@ -382,19 +514,18 @@ def normalize_and_rescale(state: model.SeparationState):
     return state
 
 
-def _cost(state, p2, shared):
+def _cost(state, p2, buf):
     """The objective at the state from the projection powers p2, (I, M, J).
 
-    Q is final for the iteration and the state is normalized, so 1/chi
-    and y are what the next t family would build: they go into `shared`
-    for it (see _sweep_tvzg).  The gains chi are built after
+    Q is final for the iteration and the state is normalized, so the
+    _chi_weights and y it leaves in buf are what the next t family
+    would build (see _sweep_tvzg).  The gains chi are built after
     normalization, whose floor can change them.
     """
-    chi = _gain(state)
-    ab = _chi_weights(p2, chi)
-    y = model.sum_channels(ab[0])
-    shared.append((ab, y))
-    return objective.jd_cost(state.spatial.Q, y, chi, state.hyper.beta)
+    chi = _gain(state, buf.chi)
+    _chi_weights(p2, chi, buf.ab)
+    y = model.sum_channels(buf.ab[0], buf.y)
+    return objective.jd_cost(state.spatial.Q, y, chi, state.hyper.beta, buf.y_pow)
 
 
 @dataclass
@@ -433,16 +564,16 @@ def run(
         return state, trace
     cache = FrameCache(X)
     p2 = cache.projection_powers(state.spatial.Q)
-    shared = []
-    cost_before = _cost(state, p2, shared)
+    buf = _Buffers(cache)
+    cost_before = _cost(state, p2, buf)
     for it in range(1, iters + 1):
         phase_ms = {}
         t0 = time.perf_counter()
         try:
-            _sweep_tvzg(state, p2, shared, on_subupdate)
+            _sweep_tvzg(state, p2, buf, on_subupdate)
             t1 = time.perf_counter()
             phase_ms["tvzg"] = (t1 - t0) * 1000.0
-            _q_rows(state, cache, p2, workers, on_subupdate)
+            _q_rows(state, cache, p2, buf, workers, on_subupdate)
             t2 = time.perf_counter()
             phase_ms["q"] = (t2 - t1) * 1000.0
             normalize_and_rescale(state)
@@ -450,7 +581,7 @@ def run(
                 on_subupdate("normalize", state)
             t3 = time.perf_counter()
             phase_ms["normalize"] = (t3 - t2) * 1000.0
-            cost = _cost(state, p2, shared)
+            cost = _cost(state, p2, buf)
             phase_ms["cost"] = (time.perf_counter() - t3) * 1000.0
         except SingularMatrixError as exc:
             raise SingularMatrixError(f"iteration {it}: {exc}", exc.index) from exc

@@ -27,13 +27,19 @@ class SeparatedSources:
         return self.spectra.shape[0]
 
 
+# bins per block of the filter's solves: its transient memory is a few
+# blocks' right-hand sides, whatever the bin count
+_BLOCK_BINS = 64
+
+
 def wiener_separate(state: model.SeparationState, X: np.ndarray) -> SeparatedSources:
     """shat_ijn = Q_i^{-1} D_ijn Q_i x_ij with D the diagonal share matrix.
 
-    D_ijn = diag_m(sigma_ijn g_inm / chi_ijm).  The filter runs one
-    source at a time in the channel-major layout (I, M, J): one solve per
-    source serves every frame, and only one source's right-hand sides
-    are alive at a time.
+    D_ijn = diag_m(sigma_ijn g_inm / chi_ijm).  The filter works in the
+    channel-major layout (I, M, J) on blocks of _BLOCK_BINS bins, one
+    source at a time: each solve serves every frame of the block and
+    writes straight into the source's spectrogram, so beside sigma, chi
+    and the output only one block's right-hand sides are alive.
     """
     n_frames = state.source.V.shape[1]
     if X.ndim != 3 or X.shape[1] != n_frames:
@@ -41,15 +47,20 @@ def wiener_separate(state: model.SeparationState, X: np.ndarray) -> SeparatedSou
         raise DimensionMismatchError(
             f"spectrogram {X.shape} has {got}; the state has {n_frames} frames"
         )
-    p = model.projections(state, X).transpose(0, 2, 1)
+    if X.shape[0] != state.spatial.Q.shape[0] or X.shape[2] != state.spatial.Q.shape[1]:
+        raise DimensionMismatchError(
+            f"spectrogram {X.shape} incompatible with Q {state.spatial.Q.shape}"
+        )
     sigma = model.compute_source_psd(state.source).transpose(0, 2, 1)
     chi = model.mixture_gain(state).transpose(0, 2, 1)
-    g = state.spatial.G
+    q, g = state.spatial.Q, state.spatial.G
     spectra = np.empty((g.shape[1],) + X.shape, dtype=np.complex128)
-    for n in range(g.shape[1]):
-        rhs = sigma[:, n, None, :] * g[:, n, :, None] / chi * p
-        spectra[n] = linalg.solve(state.spatial.Q, rhs).transpose(0, 2, 1)
-        rhs = None
+    for lo in range(0, X.shape[0], _BLOCK_BINS):
+        b = slice(lo, lo + _BLOCK_BINS)
+        p = q[b] @ X[b].transpose(0, 2, 1)
+        for n in range(g.shape[1]):
+            rhs = sigma[b, n, None, :] * g[b, n, :, None] / chi[b] * p
+            spectra[n, b] = linalg.solve(q[b], rhs).transpose(0, 2, 1)
     return SeparatedSources(spectra=spectra)
 
 

@@ -1,12 +1,13 @@
 """Shared builders for randomized states, small synthetic scenes and WAV bytes,
-and an in-process memory probe."""
+a diagonalizer sweep set up as the optimizer sets it up, and an in-process
+memory probe."""
 
 import struct
 import tracemalloc
 
 import numpy as np
 
-from sgmnmf import audio, model, simulate
+from sgmnmf import audio, model, optimizer, simulate
 
 
 def random_state(
@@ -44,6 +45,13 @@ def random_state(
 def random_mixture(rng, n_bins=5, n_frames=7, n_channels=2):
     shape = (n_bins, n_frames, n_channels)
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+def q_sweep(state, X, workers=1):
+    """One diagonalizer row sweep on state, set up as optimizer.run sets it up."""
+    cache = optimizer.FrameCache(X)
+    p2 = cache.projection_powers(state.spatial.Q)
+    optimizer._q_rows(state, cache, p2, optimizer._Buffers(cache), workers)
 
 
 def comod_multitone(seed, length, n_tones=8, depth=0.8, sample_rate=16000):

@@ -204,11 +204,14 @@ def surrogate_tvzg(state: model.SeparationState, X: np.ndarray, aux: Auxiliary) 
 
 
 def row_update_terms(state: model.SeparationState, X: np.ndarray, row: int):
-    """(r, U, B) for one diagonalizer row at the current state."""
+    """(r, U, B) for one diagonalizer row at the current state; X has no silent bin."""
     beta = state.hyper.beta
-    p2 = np.abs(state.spatial.Q @ X.transpose(0, 2, 1)) ** 2
+    cache = optimizer.FrameCache(X)
+    buf = optimizer._Buffers(cache)
+    inv_chi = 1.0 / optimizer._gain(state, buf.chi)
     u, b, pm2, w2 = optimizer._row_system(
-        p2, 1.0 / optimizer._gain(state), optimizer._outer_products(X), state.spatial.Q, row, beta
+        cache.projection_powers(state.spatial.Q), inv_chi, cache.xx, state.spatial.Q, row,
+        beta, buf.rows,
     )
     rb = np.divide(pm2 ** (beta / 2.0 - 1.0), w2, out=np.ones_like(w2), where=w2 > 0)
     return {"r": rb ** (1.0 / beta), "U": u, "B": b}
@@ -221,23 +224,27 @@ def post_scale_sums(state: model.SeparationState, X: np.ndarray) -> np.ndarray:
     with the rescaled row, shape (A, M).  The weights r come from the
     row system of the state the row update started from, recomputed
     after the row, so the sum is the one the update's scale step drives
-    to 2J/beta.
+    to 2J/beta.  The sweep works in its own buffers, the recomputation
+    in a second set.
     """
     beta = state.hyper.beta
     cache = optimizer.FrameCache(X)
+    scratch = optimizer._Buffers(cache)
     p2 = cache.projection_powers(state.spatial.Q)
     active = cache.active
-    inv_chi = 1.0 / optimizer._gain(state, active)
-    sums = np.empty((active.size, cache.x.shape[1]))
+    inv_chi = 1.0 / optimizer._gain(state, scratch.chi[: active.size], active)
+    sums = np.empty((active.size, state.spatial.Q.shape[1]))
     p2_row, q_row = p2[active], state.spatial.Q[active]
 
     def after_row(name, st):
         nonlocal p2_row, q_row
         m = int(name.removeprefix("q_row_"))
-        _, _, pm2, w2 = optimizer._row_system(p2_row, inv_chi, cache.xx, q_row, m, beta)
-        post = (st.spatial.Q[active, m, None, :] @ cache.x)[:, 0, :]
-        sums[:, m] = optimizer._scaled_power(np.abs(post) ** 2, pm2, w2, beta).sum(axis=1)
+        _, _, pm2, w2 = optimizer._row_system(
+            p2_row, inv_chi, cache.xx, q_row, m, beta, scratch.rows
+        )
+        post = np.abs((cache.x @ st.spatial.Q[active, m, :, None])[:, :, 0]) ** 2
+        sums[:, m] = optimizer._scaled_power(post, pm2, w2, beta, scratch.rows.s).sum(axis=1)
         p2_row, q_row = p2[active], st.spatial.Q[active]
 
-    optimizer._q_rows(state, cache, p2, on_phase=after_row)
+    optimizer._q_rows(state, cache, p2, optimizer._Buffers(cache), on_phase=after_row)
     return sums

@@ -385,13 +385,18 @@ class TestPipeline:
         assert "nan.wav: non-finite value nan at channel 1, sample 123" in capsys.readouterr().err
         assert not (out / "state.json").exists()
 
-    @pytest.mark.parametrize("kind", ["mono", "nan", "zero_channel", "silent"])
+    @pytest.mark.parametrize("kind", ["mono", "nan", "zero_channel", "silent", "copy", "half"])
     def test_rejected_mixture_leaves_no_output_dir(self, tmp_path, capsys, kind):
-        data = np.zeros((1000, 1 if kind == "mono" else 2))
+        # channel 1 a copy or half of channel 0 needs a mixture longer
+        # than the 1024-sample window to reach the covariance check
+        n_samples = 4000 if kind in ("copy", "half") else 1000
+        data = np.zeros((n_samples, 1 if kind == "mono" else 2))
         if kind == "nan":
             data[123, 1] = np.nan
-        if kind == "zero_channel":
-            data[:, 0] = np.random.default_rng(390).uniform(-0.5, 0.5, 1000)
+        if kind in ("zero_channel", "copy", "half"):
+            data[:, 0] = np.random.default_rng(390).uniform(-0.5, 0.5, n_samples)
+        if kind in ("copy", "half"):
+            data[:, 1] = (1.0 if kind == "copy" else 0.5) * data[:, 0]
         mix = tmp_path / f"{kind}.wav"
         audio.write_wav(mix, audio.Waveform(16000, data))
         out = tmp_path / "o"
@@ -402,6 +407,8 @@ class TestPipeline:
         message = {
             "zero_channel": f"error: {mix}: channel 1 has no nonzero sample",
             "silent": f"error: {mix}: the mixture has no nonzero sample",
+            "copy": f"error: {mix}: the channels are linearly dependent in every frequency bin",
+            "half": f"error: {mix}: the channels are linearly dependent in every frequency bin",
         }
         assert message.get(kind, "error: ") in capsys.readouterr().err
         assert not out.exists()

@@ -97,9 +97,10 @@ def test_channel_sum_is_exact(n_ch):
     rng = np.random.default_rng(200 + n_ch)
     for shape in [(9, n_ch, 13), (2, 9, n_ch, 5)]:
         x = rng.uniform(1e-3, 1e3, shape) * rng.choice([1e-8, 1.0, 1e8], shape)
-        assert np.array_equal(model.sum_channels(x), x.sum(axis=-2))
+        got = model.sum_channels(x, np.empty(shape[:-2] + shape[-1:]))
+        assert np.array_equal(got, x.sum(axis=-2))
         y = np.moveaxis(x, -2, -1).copy()
-        assert np.array_equal(model.sum_channels(x), y.sum(axis=-1))
+        assert np.array_equal(got, y.sum(axis=-1))
 
 
 @pytest.mark.parametrize("n_ch,n_src,n_bases", SHAPES)
@@ -127,9 +128,19 @@ def test_in_order_product(n_ch, n_cols):
 def test_weighted_covariance(n_ch, n_src, n_bases):
     st, X = _state(220, n_ch, n_src, n_bases)
     w = np.random.default_rng(221).uniform(0.1, 3.0, X.shape[:2])
-    got = optimizer._weighted_cov(w, optimizer._outer_products(X))
+    got = optimizer._weighted_cov(w, optimizer.FrameCache(X).xx)
     want = np.einsum("ij,ija,ijb->iab", w, X, X.conj())
     _assert_close(got, want, axes=(1, 2))
+
+
+@pytest.mark.parametrize("n_ch", [2, 3])
+def test_weighted_covariance_is_exactly_hermitian(n_ch):
+    rng = np.random.default_rng(225)
+    X = helpers.random_mixture(rng, 33, 17, n_ch)
+    w = rng.uniform(0.1, 3.0, X.shape[:2])
+    cov = optimizer._weighted_cov(w, optimizer.FrameCache(X).xx)
+    assert np.array_equal(cov, cov.conj().transpose(0, 2, 1))
+    assert np.array_equal(np.diagonal(cov, axis1=1, axis2=2).imag, np.zeros((33, n_ch)))
 
 
 @pytest.mark.parametrize("n_ch,n_src,n_bases", SHAPES)
@@ -150,9 +161,10 @@ def test_row_system(n_ch, n_src, n_bases, beta):
 @pytest.mark.parametrize("name", ["t", "v", "z", "g"])
 def test_family_sums(n_ch, n_src, n_bases, algorithm, beta, name):
     st, X = _state(240, n_ch, n_src, n_bases, beta=beta, algorithm=algorithm)
+    buf = optimizer._Buffers(optimizer.FrameCache(X))
     p2 = np.abs(model.projections(st, X)) ** 2
-    ab = optimizer._chi_weights(_cm(p2), _cm(model.mixture_gain(st)))
-    got = optimizer._family_sums(name, st, ab, model.sum_channels(ab[0]))
+    ab = optimizer._chi_weights(_cm(p2), _cm(model.mixture_gain(st)), buf.ab)
+    got = optimizer._family_sums(name, st, ab, model.sum_channels(ab[0], buf.y))
     for have, want in zip(got, oracle_family_sums(name, st, X)):
         _assert_close(have, want)
 
@@ -164,8 +176,9 @@ def test_projections_carried_across_q_sweep(n_ch, n_src, n_bases, algorithm, bet
     X[2] = 0.0  # a silent bin is skipped by the sweep
     cache = optimizer.FrameCache(X)
     p2 = cache.projection_powers(st.spatial.Q)
+    buf = optimizer._Buffers(cache)
     for _ in range(2):
-        optimizer._q_rows(st, cache, p2)
+        optimizer._q_rows(st, cache, p2, buf)
         fresh = np.abs(model.projections(st, X)[cache.active]) ** 2
         _assert_close(p2[cache.active], _cm(fresh), axes=(1, 2))
         assert np.array_equal(p2[2], np.zeros((n_ch, X.shape[1])))
@@ -202,8 +215,7 @@ def test_singular_system_names_frequency_bin(algorithm, beta, workers):
     st, X = _failing_bin_scene(algorithm, beta)
     st.spatial.Q[3, 1, :] = 0.0  # Q_3 singular: every row system there is too
     with pytest.raises(SingularMatrixError, match=r"row 0, frequency bin 3\b") as info:
-        cache = optimizer.FrameCache(X)
-        optimizer._q_rows(st, cache, cache.projection_powers(st.spatial.Q), workers)
+        helpers.q_sweep(st, X, workers)
     assert info.value.index == 3
 
 
@@ -224,13 +236,11 @@ def test_nonfinite_row_scale_names_frequency_bin(monkeypatch):
     st, X = _failing_bin_scene()
     _poison_solve(monkeypatch, 2, np.nan)
     with pytest.raises(NonFiniteError, match=r"row 0, frequency bin 3\b"):
-        cache = optimizer.FrameCache(X)
-        optimizer._q_rows(st, cache, cache.projection_powers(st.spatial.Q))
+        helpers.q_sweep(st, X)
 
 
 def test_nonpositive_normalizer_names_frequency_bin(monkeypatch):
     st, X = _failing_bin_scene("gaussian", 2.0)
     _poison_solve(monkeypatch, 2, 0.0)
     with pytest.raises(NonFiniteError, match=r"normalizer.*row 0, frequency bin 3\b"):
-        cache = optimizer.FrameCache(X)
-        optimizer._q_rows(st, cache, cache.projection_powers(st.spatial.Q))
+        helpers.q_sweep(st, X)

@@ -176,3 +176,15 @@ def test_singularity_threshold_is_the_same_at_every_size(m, func):
     with pytest.raises(SingularMatrixError, match=message + r" \(batch index 2\)$") as info:
         func(np.stack(good[:2] + [bad] + good[2:]))
     assert info.value.index == 2
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_singular_mask_marks_what_the_check_rejects(m):
+    rng = np.random.default_rng(50 + m)
+    stack = np.stack([
+        _hadamard_ratio_matrix(rng, m, 1.0),
+        _hadamard_ratio_matrix(rng, m, 10 * linalg.RTOL),
+        _hadamard_ratio_matrix(rng, m, 0.1 * linalg.RTOL),
+        np.zeros((m, m), dtype=np.complex128),
+    ])
+    assert linalg.singular_mask(stack).tolist() == [False, False, True, True]
