@@ -8,8 +8,8 @@ g_inm.  Q_i (rows are the conjugated steering directions) diagonalizes
 every source's spatial covariance at frequency i simultaneously.
 
 The public accessors return (I, J, M) arrays.  The optimizer works in
-the channel-major layout (I, M, J), where every contraction over bases
-or frames is one matmul and the channel sums run over contiguous rows.
+the channel-leading layout (M, I, J), where every contraction over bases
+or frames is one matmul and each channel's (I, J) plane is contiguous.
 """
 
 import json
@@ -136,14 +136,14 @@ def init_state(hyper: Hyperparams, n_bins: int, n_frames: int, n_channels: int) 
 
 
 def sum_channels(x, out):
-    """Sum over the channel axis (second to last) into out, adding channels in order.
+    """Sum over the channel axis (the leading one) into out, adding channels in order.
 
-    Bitwise equal to ``x.sum(axis=-2)``, and faster than numpy's
+    Bitwise equal to ``x.sum(axis=0)``, and faster than numpy's
     reduction over an axis this short.
     """
-    np.copyto(out, x[..., 0, :])
-    for c in range(1, x.shape[-2]):
-        out += x[..., c, :]
+    np.copyto(out, x[0])
+    for c in range(1, x.shape[0]):
+        out += x[c]
     return out
 
 
@@ -155,14 +155,14 @@ def _check_bases(t, v, z):
 
 
 def channel_gain(t, v, z, g, out):
-    """chi in channel-major layout (I, M, J), one matmul over the bases.
+    """chi in channel-leading layout (M, I, J), one matmul over the bases.
 
-    chi_imj = sum_k w_imk v_kj with w_imk = t_ik sum_n z_kn g_inm, written
-    into out, a C-contiguous (I, M, J) array.  Takes the factor arrays so
+    chi_mij = sum_k w_mik v_kj with w_mik = t_ik sum_n z_kn g_inm, written
+    into out, a C-contiguous (M, I, J) array.  Takes the factor arrays so
     callers can pass a subset of bins.
     """
     _check_bases(t, v, z)
-    w = t[:, None, :] * (g.transpose(0, 2, 1) @ z.T)
+    w = t[None] * (g.transpose(2, 0, 1) @ z.T)
     np.matmul(w.reshape(-1, w.shape[2]), v, out=out.reshape(-1, v.shape[1]))
     return out
 
@@ -180,8 +180,8 @@ def mixture_gain(state: SeparationState) -> np.ndarray:
     """chi_ijm = sum_{k,n} t_ik v_kj z_kn g_inm, shape (I, J, M)."""
     src = state.source
     i, j, _, _, m = state.dims
-    chi = channel_gain(src.T, src.V, src.Z, state.spatial.G, np.empty((i, m, j)))
-    return chi.transpose(0, 2, 1)
+    chi = channel_gain(src.T, src.V, src.Z, state.spatial.G, np.empty((m, i, j)))
+    return chi.transpose(1, 2, 0)
 
 
 def projections(state: SeparationState, X: np.ndarray) -> np.ndarray:

@@ -22,8 +22,8 @@ def cost_ggd_jd(state: model.SeparationState, X: np.ndarray) -> float:
     + sum_ij (sum_m |p_ijm|^2 / chi_ijm)^{beta/2}
     """
     p2 = np.abs(model.projections(state, X)) ** 2
-    chi = model.mixture_gain(state).transpose(0, 2, 1)
-    y = model.sum_channels(p2.transpose(0, 2, 1) / chi, np.empty(p2.shape[:2]))
+    chi = model.mixture_gain(state).transpose(2, 0, 1)
+    y = model.sum_channels(p2.transpose(2, 0, 1) / chi, np.empty(p2.shape[:2]))
     return jd_cost(state.spatial.Q, y, chi, state.hyper.beta, np.empty_like(y))
 
 

@@ -20,8 +20,9 @@ the next.  Every other per-iteration array of (bin, channel, frame) or
 the private kernels write into, so an iteration allocates no large
 array.  After each normalization it builds 1/chi and
 y = sum_m p2_m / chi_m once, for the cost and for the next t family.
-Arrays over (bin, channel, frame) use model's channel-major layout
-(I, M, J).
+Arrays over (bin, channel, frame) use model's channel-leading layout
+(M, I, J), so every channel's (bin, frame) plane is one contiguous
+operand.
 """
 
 import time
@@ -43,7 +44,7 @@ DIAG_LOAD = 1e-14
 
 
 def _gain(state, out, bins=slice(None)):
-    """chi over the given bins, channel-major, written into out."""
+    """chi over the given bins, channel-leading, written into out."""
     src = state.source
     return model.channel_gain(src.T[bins], src.V, src.Z, state.spatial.G[bins], out)
 
@@ -90,15 +91,16 @@ class FrameCache:
         self.xx = _packed_products(self.x)
 
     def projection_powers(self, q):
-        """|Q x|^2 over all bins, (I, M, J); silent bins are zero."""
+        """|Q x|^2 over all bins, (M, I, J); silent bins are zero columns of axis 1."""
         n_bins, n_frames, n_ch = self.shape
         if q.shape[0] != n_bins or q.shape[1] != n_ch:
             raise DimensionMismatchError(
                 f"spectrogram with {n_bins} bins x {n_ch} channels "
                 f"incompatible with Q {q.shape}"
             )
-        out = np.zeros((n_bins, n_ch, n_frames))
-        out[self.bins] = np.abs(q[self.bins] @ self.x.transpose(0, 2, 1)) ** 2
+        out = np.zeros((n_ch, n_bins, n_frames))
+        p = q[self.bins] @ self.x.transpose(0, 2, 1)
+        out[:, self.bins] = np.abs(p.transpose(1, 0, 2)) ** 2
         return out
 
 
@@ -137,8 +139,9 @@ def _views(block, *shapes):
 class _Buffers:
     """Every per-iteration array of a run, allocated once by run.
 
-    chi (I, M, J) holds chi, or 1/chi at the active bins during a row
-    sweep.  The NMF weights -- ab, the _chi_weights stack (2, I, M, J),
+    chi (M, I, J) holds chi; during a row sweep the same memory holds
+    inv_chi, 1/chi at the active bins as its own C-contiguous (M, A, J)
+    array.  The NMF weights -- ab, the _chi_weights stack (2, M, I, J),
     and y, y_pow (I, J) -- are alive from the cost to the g family, and
     rows, the row sweep's _RowScratch over the active bins, only during
     the sweep, so the two share one block of memory.  When some bin is
@@ -148,8 +151,10 @@ class _Buffers:
     def __init__(self, cache: FrameCache):
         n_bins, n_frames, n_ch = cache.shape
         n_active = cache.active.size
-        self.chi = np.empty((n_bins, n_ch, n_frames))
-        nmf = [(2, n_bins, n_ch, n_frames), (n_bins, n_frames), (n_bins, n_frames)]
+        chi = np.empty(n_ch * n_bins * n_frames)
+        (self.chi,) = _views(chi, (n_ch, n_bins, n_frames))
+        (self.inv_chi,) = _views(chi, (n_ch, n_active, n_frames))
+        nmf = [(2, n_ch, n_bins, n_frames), (n_bins, n_frames), (n_bins, n_frames)]
         # p (complex, as float pairs) first, where the block is aligned for it
         rows = [(n_active, n_frames, 2), (n_active, n_frames), (n_active, n_frames),
                 (2, n_active, n_frames), (n_active, n_frames)]
@@ -160,7 +165,7 @@ class _Buffers:
         self.rows = _RowScratch(s, pm2, w, p.view(np.complex128), power)
         if n_active < n_bins:
             self.q = np.empty((n_active, n_ch, n_ch), dtype=np.complex128)
-            self.p2 = np.empty((n_active, n_ch, n_frames))
+            self.p2 = np.empty((n_ch, n_active, n_frames))
 
 
 def _weighted_cov(w, xx):
@@ -214,9 +219,9 @@ def _check_factor(name, factor):
 
 
 def _chi_weights(p2, chi, ab):
-    """[p2 / chi, 1 / chi] into ab, a (2, I, M, J) buffer.
+    """[p2 / chi, 1 / chi] into ab, a (2, M, I, J) buffer.
 
-    p2 = |p|^2 and chi are channel-major; p2 / chi is formed as p2 * (1 / chi).
+    p2 = |p|^2 and chi are channel-leading; p2 / chi is formed as p2 * (1 / chi).
     A caller that needs y = sum_m p2_m / chi_m takes
     model.sum_channels(ab[0], y) before _family_sums overwrites the buffer.
     """
@@ -235,30 +240,30 @@ def _family_sums(name, state, ab, y):
     """
     t, v, z = state.source.T, state.source.V, state.source.Z
     g = state.spatial.G
-    _, n_bins, n_ch, n_frames = ab.shape
+    _, n_ch, n_bins, n_frames = ab.shape
     n_bases, n_src = z.shape
     # y^0 = 1 exactly, so the Gaussian model skips the power
     if state.hyper.beta != 2.0:
-        ab[0] *= np.power(y, state.hyper.beta / 2.0 - 1.0, out=y)[:, None, :]
+        ab[0] *= np.power(y, state.hyper.beta / 2.0 - 1.0, out=y)[None]
     ab[0] *= ab[1]
     if name in ("t", "v"):
-        zg = g.transpose(0, 2, 1) @ z.T  # sum_n z_kn g_inm, (I, M, K)
+        zg = g.transpose(2, 0, 1) @ z.T  # sum_n z_kn g_inm, (M, I, K)
     if name == "v":
-        w = (t[:, None, :] * zg).reshape(-1, n_bases)
+        w = (t[None] * zg).reshape(-1, n_bases)
         return w.T @ ab.reshape(2, -1, n_frames)
-    # c_imk = sum_j v_kj [a, b]_imj
-    c = (ab.reshape(-1, n_frames) @ v.T).reshape(2, n_bins, n_ch, n_bases)
+    # c_mik = sum_j v_kj [a, b]_mij
+    c = (ab.reshape(-1, n_frames) @ v.T).reshape(2, n_ch, n_bins, n_bases)
     if name == "t":
-        return model.sum_channels(zg * c, np.empty((2, n_bins, n_bases)))
+        return model.sum_channels((zg * c).swapaxes(0, 1), np.empty((2, n_bins, n_bases)))
     if name == "z":
-        tc = (t[:, None, :] * c).reshape(2, -1, n_bases)
-        return (g.transpose(1, 0, 2).reshape(n_src, -1) @ tc).transpose(0, 2, 1)
+        tc = (t[None] * c).reshape(2, -1, n_bases)
+        return (g.transpose(1, 2, 0).reshape(n_src, -1) @ tc).transpose(0, 2, 1)
     tz = t[:, None, :] * z.T[None, :, :]
-    return tz @ c.transpose(0, 1, 3, 2)
+    return tz @ c.transpose(0, 2, 3, 1)
 
 
 def _sweep_tvzg(state, p2, buf, on_phase):
-    """The t, v, z, g sweep from the projection powers p2, (I, M, J).
+    """The t, v, z, g sweep from the projection powers p2, (M, I, J).
 
     Each factor is theta * (beta*num / (2*den))^{2/(beta+2)}.  The first
     family reads the _chi_weights and y that _cost left in buf; every
@@ -291,7 +296,7 @@ def _sweep_tvzg(state, p2, buf, on_phase):
 def _row_system(p2, inv_chi, xx, q, m, beta, work):
     """Per-bin quantities for the sub-Gaussian update of row m.
 
-    Takes the projection powers p2 = |p|^2 and inverse gains 1/chi (B, M, J), the
+    Takes the projection powers p2 = |p|^2 and inverse gains 1/chi (M, B, J), the
     packed frame products xx (B, J, M^2), Q (B, M, M) and the block's
     _RowScratch.  Returns (U, B, pm2, w2): the new row solves
     (Q B)^{-1} e_m, and pm2 = |p_m|^2 (floored) and w2 = |p_m|^{beta-2} /
@@ -315,15 +320,15 @@ def _row_system(p2, inv_chi, xx, q, m, beta, work):
     """
     s, pm2 = work.s, work.pm2
     # s channel by channel, in model.sum_channels' order
-    np.multiply(p2[:, 0], inv_chi[:, 0], out=s)
-    for c in range(1, p2.shape[1]):
-        s += np.multiply(p2[:, c], inv_chi[:, c], out=pm2)
+    np.multiply(p2[0], inv_chi[0], out=s)
+    for c in range(1, p2.shape[0]):
+        s += np.multiply(p2[c], inv_chi[c], out=pm2)
     silent = ~(s > 0)
     np.copyto(s, 1.0, where=silent)
-    icm = inv_chi[:, m, :]
+    icm = inv_chi[m]
     np.multiply(PROJ_FLOOR**2, s, out=pm2)
     np.divide(pm2, icm, out=pm2)
-    np.maximum(p2[:, m, :], pm2, out=pm2)
+    np.maximum(p2[m], pm2, out=pm2)
     # the covariance weights [w1, w2], so one matmul takes both
     w1, w2 = work.w
     np.divide(icm, np.power(s, 1.0 - beta / 2.0, out=w1), out=w2)
@@ -381,7 +386,7 @@ def _solve_row(q, a, m, bins):
 
 
 # Each row rule takes a block of bins -- Q (B, M, M), x (B, J, M), the
-# packed frame products xx (B, J, M^2), p2 = |Q x|^2 and 1/chi (B, M, J) --
+# packed frame products xx (B, J, M^2), p2 = |Q x|^2 and 1/chi (M, B, J) --
 # the row m, beta, the block's frequency bins and its _RowScratch.  It
 # returns the new row m of Q, (B, M), and leaves its |q^H x|^2 in
 # work.power.
@@ -410,7 +415,7 @@ def _gaussian_row(q, x, xx, p2, inv_chi, m, beta, bins, work):
     The row solves (Q_i U_im)^{-1} e_m, U_im = (1/J) sum_j x_j x_j^H /
     chi_imj, and is normalized to q^H U q = 1 against the true U.
     """
-    u = _weighted_cov(inv_chi[:, m, :], xx) / x.shape[1]
+    u = _weighted_cov(inv_chi[m], xx) / x.shape[1]
     qnew = _solve_row(q, u, m, bins)
     quq = _mat_mul(_mat_mul(qnew.conj()[:, None, :], u), qnew[:, :, None])[:, 0, 0].real
     _require(
@@ -428,9 +433,9 @@ def _q_rows(state, cache, p2, buf, workers=1, on_phase=None):
     """One sweep over the rows of every active Q_i; updates p2 in place.
 
     The row rule is the one of state.hyper.algorithm; it reads and
-    writes Q and p2 (I, M, J) at the active bins only, working in buf,
-    the run's _Buffers, whose chi holds 1/chi at the active bins for the
-    sweep.  When every bin is active a block reads Q and p2 through
+    writes Q and p2 (M, I, J) at the active bins only, working in buf,
+    the run's _Buffers, whose inv_chi holds 1/chi at the active bins for
+    the sweep.  When every bin is active a block reads Q and p2 through
     slices; otherwise it gathers them into buf.q and buf.p2.  Each
     solved row is written back into Q and p2 at once.  Each row's active
     bins are split into up to `workers` contiguous blocks, which run on
@@ -446,27 +451,30 @@ def _q_rows(state, cache, p2, buf, workers=1, on_phase=None):
     rule = _ROW_RULES[state.hyper.algorithm]
     beta = state.hyper.beta
     # chi is fixed during the sweep: every row of both rules reads 1/chi
-    inv_chi = _gain(state, buf.chi[: active.size], cache.bins)
+    inv_chi = _gain(state, buf.inv_chi, cache.bins)
     np.divide(1.0, inv_chi, out=inv_chi)
     q_all = state.spatial.Q
     gather = not isinstance(cache.bins, slice)
 
     def one_block(m, lo, hi):
         if gather:
-            # mode="clip" writes straight into out; the indices are valid
+            # mode="clip" writes straight into a contiguous out (a block
+            # of buf.p2 is one per channel); the indices are valid
             sel = active[lo:hi]
             q = np.take(q_all, sel, axis=0, out=buf.q[lo:hi], mode="clip")
-            p2_blk = np.take(p2, sel, axis=0, out=buf.p2[lo:hi], mode="clip")
+            p2_blk = buf.p2[:, lo:hi]
+            for c in range(p2.shape[0]):
+                np.take(p2[c], sel, axis=0, out=p2_blk[c], mode="clip")
         else:
             sel = slice(lo, hi)
-            q, p2_blk = q_all[sel], p2[sel]
+            q, p2_blk = q_all[sel], p2[:, sel]
         work = buf.rows[lo:hi]
         row = rule(
-            q, cache.x[lo:hi], cache.xx[lo:hi], p2_blk, inv_chi[lo:hi], m, beta,
+            q, cache.x[lo:hi], cache.xx[lo:hi], p2_blk, inv_chi[:, lo:hi], m, beta,
             active[lo:hi], work,
         )
         q_all[sel, m, :] = row
-        p2[sel, m, :] = work.power
+        p2[m, sel] = work.power
 
     bounds = np.linspace(0, active.size, max(1, min(workers, active.size)) + 1).astype(int)
     blocks = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
@@ -515,7 +523,7 @@ def normalize_and_rescale(state: model.SeparationState):
 
 
 def _cost(state, p2, buf):
-    """The objective at the state from the projection powers p2, (I, M, J).
+    """The objective at the state from the projection powers p2, (M, I, J).
 
     Q is final for the iteration and the state is normalized, so the
     _chi_weights and y it leaves in buf are what the next t family
@@ -549,14 +557,21 @@ def run(
     'z', 'g', 'q_row_<m>', 'normalize'); on_iteration(report) after
     each full iteration.  `workers` only splits the frequency axis, so
     results are independent of the worker count.  X must have the
-    state's frame count (DimensionMismatchError otherwise).  A
-    NonFiniteError or SingularMatrixError raised by an iteration is
+    state's frame count (DimensionMismatchError otherwise) and only
+    finite entries (NonFiniteError naming the first bad one otherwise).
+    A NonFiniteError or SingularMatrixError raised by an iteration is
     re-raised as the same type, prefixed with "iteration N: ".
     """
     n_frames = state.source.V.shape[1]
     if X.shape[1] != n_frames:
         raise DimensionMismatchError(
             f"spectrogram {X.shape} has {X.shape[1]} frames; the state has {n_frames} frames"
+        )
+    finite = np.isfinite(X)
+    if not finite.all():
+        i, j, m = np.unravel_index(np.flatnonzero(~finite)[0], X.shape)
+        raise NonFiniteError(
+            f"spectrogram contains NaN/Inf at frequency bin {i}, frame {j}, channel {m}"
         )
     trace = objective.CostTrace()
     iters = state.hyper.iterations

@@ -36,10 +36,12 @@ def wiener_separate(state: model.SeparationState, X: np.ndarray) -> SeparatedSou
     """shat_ijn = Q_i^{-1} D_ijn Q_i x_ij with D the diagonal share matrix.
 
     D_ijn = diag_m(sigma_ijn g_inm / chi_ijm).  The filter works in the
-    channel-major layout (I, M, J) on blocks of _BLOCK_BINS bins, one
-    source at a time: each solve serves every frame of the block and
-    writes straight into the source's spectrogram, so beside sigma, chi
-    and the output only one block's right-hand sides are alive.
+    channel-major layout (I, M, J), reading chi, which model builds
+    channel-leading as (M, I, J), through a transpose.  It runs on
+    blocks of _BLOCK_BINS bins, one source at a time: each solve serves
+    every frame of the block and writes straight into the source's
+    spectrogram, so beside sigma, chi and the output only one block's
+    right-hand sides are alive.
     """
     n_frames = state.source.V.shape[1]
     if X.ndim != 3 or X.shape[1] != n_frames:

@@ -232,9 +232,9 @@ def post_scale_sums(state: model.SeparationState, X: np.ndarray) -> np.ndarray:
     scratch = optimizer._Buffers(cache)
     p2 = cache.projection_powers(state.spatial.Q)
     active = cache.active
-    inv_chi = 1.0 / optimizer._gain(state, scratch.chi[: active.size], active)
+    inv_chi = 1.0 / optimizer._gain(state, scratch.inv_chi, active)
     sums = np.empty((active.size, state.spatial.Q.shape[1]))
-    p2_row, q_row = p2[active], state.spatial.Q[active]
+    p2_row, q_row = p2[:, active], state.spatial.Q[active]
 
     def after_row(name, st):
         nonlocal p2_row, q_row
@@ -244,7 +244,7 @@ def post_scale_sums(state: model.SeparationState, X: np.ndarray) -> np.ndarray:
         )
         post = np.abs((cache.x @ st.spatial.Q[active, m, :, None])[:, :, 0]) ** 2
         sums[:, m] = optimizer._scaled_power(post, pm2, w2, beta, scratch.rows.s).sum(axis=1)
-        p2_row, q_row = p2[active], st.spatial.Q[active]
+        p2_row, q_row = p2[:, active], st.spatial.Q[active]
 
     optimizer._q_rows(state, cache, p2, optimizer._Buffers(cache), on_phase=after_row)
     return sums

@@ -42,7 +42,7 @@ def _assert_close(got, want, axes=None):
 
 
 def _cm(a):
-    return np.ascontiguousarray(a.transpose(0, 2, 1))
+    return np.ascontiguousarray(a.transpose(2, 0, 1))
 
 
 def oracle_row_system(X, chi, Q, m, beta):
@@ -95,11 +95,11 @@ def oracle_family_sums(name, st, X):
 @pytest.mark.parametrize("n_ch", [2, 3])
 def test_channel_sum_is_exact(n_ch):
     rng = np.random.default_rng(200 + n_ch)
-    for shape in [(9, n_ch, 13), (2, 9, n_ch, 5)]:
+    for shape in [(n_ch, 9, 13), (n_ch, 2, 9, 5)]:
         x = rng.uniform(1e-3, 1e3, shape) * rng.choice([1e-8, 1.0, 1e8], shape)
-        got = model.sum_channels(x, np.empty(shape[:-2] + shape[-1:]))
-        assert np.array_equal(got, x.sum(axis=-2))
-        y = np.moveaxis(x, -2, -1).copy()
+        got = model.sum_channels(x, np.empty(shape[1:]))
+        assert np.array_equal(got, x.sum(axis=0))
+        y = np.moveaxis(x, 0, -1).copy()
         assert np.array_equal(got, y.sum(axis=-1))
 
 
@@ -169,6 +169,18 @@ def test_family_sums(n_ch, n_src, n_bases, algorithm, beta, name):
         _assert_close(have, want)
 
 
+@pytest.mark.parametrize("n_ch", [2, 3])
+def test_projection_powers_are_channel_leading(n_ch):
+    st, X = _state(245, n_ch, n_ch, 2)
+    p2 = optimizer.FrameCache(X).projection_powers(st.spatial.Q)
+    assert p2.shape == (n_ch,) + X.shape[:2]
+    assert all(p2[m].flags.c_contiguous for m in range(n_ch))
+    _assert_close(p2, _cm(np.abs(model.projections(st, X)) ** 2), axes=(0, 2))
+    X[3] = 0.0
+    p2 = optimizer.FrameCache(X).projection_powers(st.spatial.Q)
+    assert np.array_equal(p2[:, 3], np.zeros((n_ch, X.shape[1])))
+
+
 @pytest.mark.parametrize("n_ch,n_src,n_bases", SHAPES)
 @pytest.mark.parametrize("algorithm,beta", [("subgaussian", 3.4), ("gaussian", 2.0)])
 def test_projections_carried_across_q_sweep(n_ch, n_src, n_bases, algorithm, beta):
@@ -180,8 +192,8 @@ def test_projections_carried_across_q_sweep(n_ch, n_src, n_bases, algorithm, bet
     for _ in range(2):
         optimizer._q_rows(st, cache, p2, buf)
         fresh = np.abs(model.projections(st, X)[cache.active]) ** 2
-        _assert_close(p2[cache.active], _cm(fresh), axes=(1, 2))
-        assert np.array_equal(p2[2], np.zeros((n_ch, X.shape[1])))
+        _assert_close(p2[:, cache.active], _cm(fresh), axes=(0, 2))
+        assert np.array_equal(p2[:, 2], np.zeros((n_ch, X.shape[1])))
 
 
 def test_worker_count_does_not_change_results_three_channels():

@@ -400,6 +400,22 @@ class TestFailureLocation:
         ):
             optimizer.run(st, helpers.random_mixture(rng))
 
+    @pytest.mark.parametrize("bad", [np.nan, complex(1.0, np.inf)])
+    def test_non_finite_spectrogram_names_its_entry(self, bad):
+        rng = np.random.default_rng(164)
+        st = helpers.random_state(rng, n_bins=6, n_frames=7, n_bases=3)
+        before = st.copy()
+        X = helpers.random_mixture(rng, 6, 7, 2)
+        X[4, 5, 1] = bad
+        X[5, 0, 0] = bad
+        with pytest.raises(
+            NonFiniteError,
+            match=r"^spectrogram contains NaN/Inf at frequency bin 4, frame 5, channel 1$",
+        ):
+            optimizer.run(st, X)
+        assert np.array_equal(st.source.T, before.source.T)
+        assert np.array_equal(st.spatial.Q, before.spatial.Q)
+
     def test_degenerate_normalization_names_source(self):
         rng = np.random.default_rng(163)
         st = helpers.random_state(rng, n_sources=3)
