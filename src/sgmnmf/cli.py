@@ -1,8 +1,8 @@
 """Command-line entry point: simulate / separate / evaluate.
 
---workers (default 1) splits the optimizer's frequency axis across
-threads; outputs are bit-identical for every worker count.  A rejected
-input leaves no output directory behind.
+--workers is accepted for compatibility (a value below 1 is still an
+error) and ignored: the optimizer runs on one thread.  A rejected input
+leaves no output directory behind.
 """
 
 import argparse
@@ -75,7 +75,7 @@ def _require_independent_channels(path, spec):
         )
 
 
-def cmd_separate(cfg: config.RunConfig, workers: int = 1):
+def cmd_separate(cfg: config.RunConfig):
     if cfg.mixture is None:
         raise SgmnmfError("paths.mixture: required for separate")
     wave = audio.read_wav(cfg.mixture)
@@ -103,7 +103,7 @@ def cmd_separate(cfg: config.RunConfig, workers: int = 1):
     n_bins, n_frames, n_ch = spec.shape
 
     state = model.init_state(cfg.hyper(), n_bins, n_frames, n_ch)
-    state, trace = optimizer.run(state, spec, workers=workers)
+    state, trace = optimizer.run(state, spec)
 
     sep = separate.wiener_separate(state, spec)
     separate.to_waveforms(sep, stft_cfg, wave.n_samples, sample_rate=wave.sample_rate)
@@ -142,7 +142,7 @@ def build_parser():
         "--workers",
         type=int,
         default=1,
-        help="frequency-axis worker count (default 1)",
+        help="accepted for compatibility and ignored; the optimizer runs on one thread",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -168,7 +168,7 @@ def main(argv=None) -> int:
             if args.workers < 1:
                 raise SgmnmfError(f"--workers: must be >= 1, got {args.workers}")
             cfg = config.parse_config(_load_json(args.config))
-            return cmd_separate(cfg, workers=args.workers)
+            return cmd_separate(cfg)
         if args.command == "evaluate":
             cfg = config.parse_eval_config(_load_json(args.config))
             return cmd_evaluate(cfg)

@@ -24,22 +24,20 @@ def cost_ggd_jd(state: model.SeparationState, X: np.ndarray) -> float:
     p2 = np.abs(model.projections(state, X)) ** 2
     chi = model.mixture_gain(state).transpose(2, 0, 1)
     y = model.sum_channels(p2.transpose(2, 0, 1) / chi, np.empty(p2.shape[:2]))
-    return jd_cost(state.spatial.Q, y, chi, state.hyper.beta, np.empty_like(y))
+    return jd_cost(state.spatial.Q, y, np.sum(np.log(chi)), state.hyper.beta, np.empty_like(y))
 
 
 def jd_cost(
-    q: np.ndarray, y: np.ndarray, chi: np.ndarray, beta: float, y_pow: np.ndarray
+    q: np.ndarray, y: np.ndarray, log_chi_sum: float, beta: float, y_pow: np.ndarray
 ) -> float:
-    """cost_ggd_jd from y = sum_m |p_m|^2 / chi_m, (I, J), and chi.
+    """cost_ggd_jd from y = sum_m |p_m|^2 / chi_m, (I, J), and sum_ijm log chi_ijm.
 
-    Works in the arrays it is given: chi is overwritten with log chi and
-    y_pow, (I, J), with y^{beta/2}.  The optimizer builds y once per
-    state and shares it with its next t family.
+    y_pow, (I, J), is overwritten with y^{beta/2}.  The optimizer builds
+    y once per state and shares it with its next t family.
     """
     n_frames = y.shape[1]
     det_term = -2.0 * n_frames * np.sum(linalg.log_abs_det(q))
-    log_chi = np.log(chi, out=chi)
-    val = det_term + np.sum(log_chi) + np.sum(np.power(y, beta / 2.0, out=y_pow))
+    val = det_term + log_chi_sum + np.sum(np.power(y, beta / 2.0, out=y_pow))
     if not math.isfinite(val):
         raise NonFiniteError("objective evaluated to NaN/Inf")
     return float(val)

@@ -22,11 +22,11 @@ array.  After each normalization it builds 1/chi and
 y = sum_m p2_m / chi_m once, for the cost and for the next t family.
 Arrays over (bin, channel, frame) use model's channel-leading layout
 (M, I, J), so every channel's (bin, frame) plane is one contiguous
-operand.
+operand.  The optimizer runs on the calling thread: each row of the
+diagonalizer sweep is one pass over the active bins.
 """
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,24 +106,17 @@ class FrameCache:
 
 @dataclass
 class _RowScratch:
-    """The row sweep's work arrays over a block of active bins.
+    """The row sweep's work arrays over the active bins.
 
-    s, pm2 (B, J) and the covariance weights w (2, B, J) for _row_system;
-    p (B, J, 1) complex and power (B, J) for the projections of a solved
-    row.  Slicing takes the same bins of each, so blocks of disjoint
-    bins share no memory.
+    s, pm2 (A, J) and the covariance weights w (2, A, J) for _row_system;
+    p (A, J, 1) complex for the projections of a solved row.  p lies
+    over s and w[0], which are dead once the row system is built.
     """
 
     s: np.ndarray
     pm2: np.ndarray
     w: np.ndarray
     p: np.ndarray
-    power: np.ndarray
-
-    def __getitem__(self, bins):
-        return _RowScratch(
-            self.s[bins], self.pm2[bins], self.w[:, bins], self.p[bins], self.power[bins]
-        )
 
 
 def _views(block, *shapes):
@@ -139,30 +132,29 @@ def _views(block, *shapes):
 class _Buffers:
     """Every per-iteration array of a run, allocated once by run.
 
-    chi (M, I, J) holds chi; during a row sweep the same memory holds
-    inv_chi, 1/chi at the active bins as its own C-contiguous (M, A, J)
-    array.  The NMF weights -- ab, the _chi_weights stack (2, M, I, J),
-    and y, y_pow (I, J) -- are alive from the cost to the g family, and
-    rows, the row sweep's _RowScratch over the active bins, only during
-    the sweep, so the two share one block of memory.  When some bin is
-    silent, q and p2 take a block's gathered Q and projection powers.
+    One block holds y, y_pow (I, J) at its start and ab, the
+    _chi_weights stack (2, M, I, J), at its end.  Each chi is built in
+    ab[1] and inverted there in place; during a row sweep, the tail of
+    ab[1] holds 1/chi at the active bins as its own C-contiguous
+    (M, A, J) array.  rows, the sweep's _RowScratch, lies at the start,
+    over y, y_pow and ab[0], which are dead from the end of the g family
+    to the next cost.  When some bin is silent, q and p2 take the
+    gathered Q and projection powers of the active bins.
     """
 
     def __init__(self, cache: FrameCache):
         n_bins, n_frames, n_ch = cache.shape
         n_active = cache.active.size
-        chi = np.empty(n_ch * n_bins * n_frames)
-        (self.chi,) = _views(chi, (n_ch, n_bins, n_frames))
-        (self.inv_chi,) = _views(chi, (n_ch, n_active, n_frames))
-        nmf = [(2, n_ch, n_bins, n_frames), (n_bins, n_frames), (n_bins, n_frames)]
-        # p (complex, as float pairs) first, where the block is aligned for it
-        rows = [(n_active, n_frames, 2), (n_active, n_frames), (n_active, n_frames),
-                (2, n_active, n_frames), (n_active, n_frames)]
-        size = max(sum(int(np.prod(shape)) for shape in shapes) for shapes in (nmf, rows))
-        block = np.empty(size)
-        self.ab, self.y, self.y_pow = _views(block, *nmf)
-        p, s, pm2, w, power = _views(block, *rows)
-        self.rows = _RowScratch(s, pm2, w, p.view(np.complex128), power)
+        # rows (4 A planes) and 1/chi (M A planes) must not meet, which
+        # takes one plane more than y, y_pow and ab only at M = 1
+        plane = n_bins * n_frames
+        block = np.empty(max(2 * n_ch + 2, n_ch + 4) * plane)
+        self.y, self.y_pow = _views(block, (n_bins, n_frames), (n_bins, n_frames))
+        self.ab = block[-2 * n_ch * plane :].reshape(2, n_ch, n_bins, n_frames)
+        s, w, pm2 = _views(block, (n_active, n_frames), (2, n_active, n_frames),
+                           (n_active, n_frames))
+        p = block[: 2 * s.size].view(np.complex128).reshape(n_active, n_frames, 1)
+        self.rows = _RowScratch(s, pm2, w, p)
         if n_active < n_bins:
             self.q = np.empty((n_active, n_ch, n_ch), dtype=np.complex128)
             self.p2 = np.empty((n_ch, n_active, n_frames))
@@ -222,8 +214,9 @@ def _chi_weights(p2, chi, ab):
     """[p2 / chi, 1 / chi] into ab, a (2, M, I, J) buffer.
 
     p2 = |p|^2 and chi are channel-leading; p2 / chi is formed as p2 * (1 / chi).
-    A caller that needs y = sum_m p2_m / chi_m takes
-    model.sum_channels(ab[0], y) before _family_sums overwrites the buffer.
+    chi may be ab[1] itself, which is then inverted in place.  A caller
+    that needs y = sum_m p2_m / chi_m takes model.sum_channels(ab[0], y)
+    before _family_sums overwrites the buffer.
     """
     np.divide(1.0, chi, out=ab[1])
     np.multiply(p2, ab[1], out=ab[0])
@@ -277,7 +270,7 @@ def _sweep_tvzg(state, p2, buf, on_phase):
               "g": state.spatial.G}
     for name, arr in arrays.items():
         if name != "t":
-            _chi_weights(p2, _gain(state, buf.chi), buf.ab)
+            _chi_weights(p2, _gain(state, buf.ab[1]), buf.ab)
             if beta != 2.0:
                 model.sum_channels(buf.ab[0], buf.y)
         num, den = _family_sums(name, state, buf.ab, buf.y)
@@ -296,8 +289,8 @@ def _sweep_tvzg(state, p2, buf, on_phase):
 def _row_system(p2, inv_chi, xx, q, m, beta, work):
     """Per-bin quantities for the sub-Gaussian update of row m.
 
-    Takes the projection powers p2 = |p|^2 and inverse gains 1/chi (M, B, J), the
-    packed frame products xx (B, J, M^2), Q (B, M, M) and the block's
+    Takes the projection powers p2 = |p|^2 and inverse gains 1/chi (M, A, J), the
+    packed frame products xx (A, J, M^2), Q (A, M, M) and the sweep's
     _RowScratch.  Returns (U, B, pm2, w2): the new row solves
     (Q B)^{-1} e_m, and pm2 = |p_m|^2 (floored) and w2 = |p_m|^{beta-2} /
     r^beta, views of work.pm2 and work.w, feed the ray-scale step, with r
@@ -353,7 +346,7 @@ def _scaled_power(p2, pm2, w2, beta, out):
 
 
 def _row_power(row, x, p, out):
-    """|row . x_j|^2 per frame into out (B, J), through p (B, J, 1) complex."""
+    """|row . x_j|^2 per frame into out (A, J), through p (A, J, 1) complex."""
     np.matmul(x, row[:, :, None], out=p)
     np.abs(p[:, :, 0], out=out)
     return np.square(out, out=out)
@@ -385,11 +378,10 @@ def _solve_row(q, a, m, bins):
         ) from exc
 
 
-# Each row rule takes a block of bins -- Q (B, M, M), x (B, J, M), the
-# packed frame products xx (B, J, M^2), p2 = |Q x|^2 and 1/chi (M, B, J) --
-# the row m, beta, the block's frequency bins and its _RowScratch.  It
-# returns the new row m of Q, (B, M), and leaves its |q^H x|^2 in
-# work.power.
+# Each row rule takes the active bins -- Q (A, M, M), x (A, J, M), the
+# packed frame products xx (A, J, M^2), p2 = |Q x|^2 and 1/chi (M, A, J) --
+# the row m, beta, their frequency bins and the sweep's _RowScratch.  It
+# returns the new row m of Q, (A, M), and writes its |q^H x|^2 into p2[m].
 
 
 def _subgaussian_row(q, x, xx, p2, inv_chi, m, beta, bins, work):
@@ -401,7 +393,7 @@ def _subgaussian_row(q, x, xx, p2, inv_chi, m, beta, bins, work):
     """
     _, b, pm2, w2 = _row_system(p2, inv_chi, xx, q, m, beta, work)
     qnew = _solve_row(q, b, m, bins)
-    pnew2 = _row_power(qnew.conj(), x, work.p, work.power)
+    pnew2 = _row_power(qnew.conj(), x, work.p, p2[m])
     ssum = _scaled_power(pnew2, pm2, w2, beta, work.s).sum(axis=1)
     scale = (2.0 * x.shape[1] / (beta * ssum)) ** (1.0 / beta)
     _require(np.isfinite(scale), "diagonalizer row scale is NaN/Inf", m, bins)
@@ -422,77 +414,50 @@ def _gaussian_row(q, x, xx, p2, inv_chi, m, beta, bins, work):
         (quq > 0) & np.isfinite(quq), "iterative projection normalizer is not positive", m, bins
     )
     row = (qnew / np.sqrt(quq)[:, None]).conj()
-    _row_power(row, x, work.p, work.power)
+    _row_power(row, x, work.p, p2[m])
     return row
 
 
 _ROW_RULES = {"subgaussian": _subgaussian_row, "gaussian": _gaussian_row}
 
 
-def _q_rows(state, cache, p2, buf, workers=1, on_phase=None):
+def _q_rows(state, cache, p2, buf, on_phase=None):
     """One sweep over the rows of every active Q_i; updates p2 in place.
 
     The row rule is the one of state.hyper.algorithm; it reads and
-    writes Q and p2 (M, I, J) at the active bins only, working in buf,
-    the run's _Buffers, whose inv_chi holds 1/chi at the active bins for
-    the sweep.  When every bin is active a block reads Q and p2 through
-    slices; otherwise it gathers them into buf.q and buf.p2.  Each
-    solved row is written back into Q and p2 at once.  Each row's active
-    bins are split into up to `workers` contiguous blocks, which run on
-    threads when there are several; each block works on its own bins of
-    the buffers, every block of a row finishes before the next row
-    starts, and the first error raised by any block is re-raised once
-    all of them have finished.  on_phase(f"q_row_{m}", state) fires
-    after each row.
+    writes Q and p2 (M, I, J) at the active bins only, in one pass per
+    row, working in buf, the run's _Buffers.  1/chi at the active bins
+    is built once, in the tail of ab[1]'s memory.  When every bin is
+    active the rule reads and writes Q and p2 themselves; otherwise it
+    works on their active bins gathered into buf.q and buf.p2, and each
+    solved row is written back into Q and p2 at once.
+    on_phase(f"q_row_{m}", state) fires after each row.
     """
     active = cache.active
     if active.size == 0:
         return
     rule = _ROW_RULES[state.hyper.algorithm]
-    beta = state.hyper.beta
-    # chi is fixed during the sweep: every row of both rules reads 1/chi
-    inv_chi = _gain(state, buf.inv_chi, cache.bins)
-    np.divide(1.0, inv_chi, out=inv_chi)
     q_all = state.spatial.Q
     gather = not isinstance(cache.bins, slice)
-
-    def one_block(m, lo, hi):
-        if gather:
-            # mode="clip" writes straight into a contiguous out (a block
-            # of buf.p2 is one per channel); the indices are valid
-            sel = active[lo:hi]
-            q = np.take(q_all, sel, axis=0, out=buf.q[lo:hi], mode="clip")
-            p2_blk = buf.p2[:, lo:hi]
-            for c in range(p2.shape[0]):
-                np.take(p2[c], sel, axis=0, out=p2_blk[c], mode="clip")
-        else:
-            sel = slice(lo, hi)
-            q, p2_blk = q_all[sel], p2[:, sel]
-        work = buf.rows[lo:hi]
-        row = rule(
-            q, cache.x[lo:hi], cache.xx[lo:hi], p2_blk, inv_chi[:, lo:hi], m, beta,
-            active[lo:hi], work,
+    q, p2_act = q_all, p2
+    if gather:
+        # mode="clip" writes straight into a contiguous out; the indices are valid
+        q = np.take(q_all, active, axis=0, out=buf.q, mode="clip")
+        p2_act = buf.p2
+        for c in range(p2.shape[0]):
+            np.take(p2[c], active, axis=0, out=p2_act[c], mode="clip")
+    # chi is fixed during the sweep: every row of both rules reads 1/chi
+    inv_chi = buf.ab[1].reshape(-1)[-p2_act.size :].reshape(p2_act.shape)
+    np.divide(1.0, _gain(state, inv_chi, cache.bins), out=inv_chi)
+    for m in range(q.shape[1]):
+        q[:, m, :] = rule(
+            q, cache.x, cache.xx, p2_act, inv_chi, m, state.hyper.beta, active, buf.rows
         )
-        q_all[sel, m, :] = row
-        p2[m, sel] = work.power
-
-    bounds = np.linspace(0, active.size, max(1, min(workers, active.size)) + 1).astype(int)
-    blocks = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    pool = ThreadPoolExecutor(max_workers=len(blocks)) if len(blocks) > 1 else None
-    try:
-        for m in range(q_all.shape[1]):
-            if pool is None:
-                one_block(m, *blocks[0])
-            else:
-                futs = [pool.submit(one_block, m, lo, hi) for lo, hi in blocks]
-                for err in [f.exception() for f in futs]:
-                    if err is not None:
-                        raise err
-            if on_phase is not None:
-                on_phase(f"q_row_{m}", state)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        if gather:
+            q_all[active, m, :] = q[:, m, :]
+            p2[m, active] = p2_act[m]
+        if on_phase is not None:
+            on_phase(f"q_row_{m}", state)
 
 
 # ---------------------------------------------------------------------------
@@ -528,12 +493,14 @@ def _cost(state, p2, buf):
     Q is final for the iteration and the state is normalized, so the
     _chi_weights and y it leaves in buf are what the next t family
     would build (see _sweep_tvzg).  The gains chi are built after
-    normalization, whose floor can change them.
+    normalization, whose floor can change them; sum log chi is taken,
+    through ab[0], before chi is inverted in ab[1].
     """
-    chi = _gain(state, buf.chi)
+    chi = _gain(state, buf.ab[1])
+    log_chi_sum = np.sum(np.log(chi, out=buf.ab[0]))
     _chi_weights(p2, chi, buf.ab)
     y = model.sum_channels(buf.ab[0], buf.y)
-    return objective.jd_cost(state.spatial.Q, y, chi, state.hyper.beta, buf.y_pow)
+    return objective.jd_cost(state.spatial.Q, y, log_chi_sum, state.hyper.beta, buf.y_pow)
 
 
 @dataclass
@@ -555,8 +522,8 @@ def run(
 
     on_subupdate(name, state) fires after every sub-update ('t', 'v',
     'z', 'g', 'q_row_<m>', 'normalize'); on_iteration(report) after
-    each full iteration.  `workers` only splits the frequency axis, so
-    results are independent of the worker count.  X must have the
+    each full iteration.  `workers` is accepted for compatibility and
+    ignored: the run is single-threaded.  X must have the
     state's frame count (DimensionMismatchError otherwise) and only
     finite entries (NonFiniteError naming the first bad one otherwise).
     A NonFiniteError or SingularMatrixError raised by an iteration is
@@ -567,9 +534,9 @@ def run(
         raise DimensionMismatchError(
             f"spectrogram {X.shape} has {X.shape[1]} frames; the state has {n_frames} frames"
         )
-    finite = np.isfinite(X)
-    if not finite.all():
-        i, j, m = np.unravel_index(np.flatnonzero(~finite)[0], X.shape)
+    # the (I, J, M) mask lives only for the check, not through the run
+    if not np.isfinite(X).all():
+        i, j, m = np.unravel_index(np.flatnonzero(~np.isfinite(X))[0], X.shape)
         raise NonFiniteError(
             f"spectrogram contains NaN/Inf at frequency bin {i}, frame {j}, channel {m}"
         )
@@ -588,7 +555,7 @@ def run(
             _sweep_tvzg(state, p2, buf, on_subupdate)
             t1 = time.perf_counter()
             phase_ms["tvzg"] = (t1 - t0) * 1000.0
-            _q_rows(state, cache, p2, buf, workers, on_subupdate)
+            _q_rows(state, cache, p2, buf, on_subupdate)
             t2 = time.perf_counter()
             phase_ms["q"] = (t2 - t1) * 1000.0
             normalize_and_rescale(state)

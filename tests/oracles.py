@@ -208,7 +208,7 @@ def row_update_terms(state: model.SeparationState, X: np.ndarray, row: int):
     beta = state.hyper.beta
     cache = optimizer.FrameCache(X)
     buf = optimizer._Buffers(cache)
-    inv_chi = 1.0 / optimizer._gain(state, buf.chi)
+    inv_chi = 1.0 / optimizer._gain(state, buf.ab[1])
     u, b, pm2, w2 = optimizer._row_system(
         cache.projection_powers(state.spatial.Q), inv_chi, cache.xx, state.spatial.Q, row,
         beta, buf.rows,
@@ -232,9 +232,9 @@ def post_scale_sums(state: model.SeparationState, X: np.ndarray) -> np.ndarray:
     scratch = optimizer._Buffers(cache)
     p2 = cache.projection_powers(state.spatial.Q)
     active = cache.active
-    inv_chi = 1.0 / optimizer._gain(state, scratch.inv_chi, active)
-    sums = np.empty((active.size, state.spatial.Q.shape[1]))
     p2_row, q_row = p2[:, active], state.spatial.Q[active]
+    inv_chi = 1.0 / optimizer._gain(state, np.empty(p2_row.shape), active)
+    sums = np.empty((active.size, state.spatial.Q.shape[1]))
 
     def after_row(name, st):
         nonlocal p2_row, q_row
