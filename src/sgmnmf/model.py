@@ -147,6 +147,24 @@ def sum_channels(x, out):
     return out
 
 
+def check_spectrogram(state: SeparationState, X: np.ndarray):
+    """Raise DimensionMismatchError unless X is (I, J, M) for the state's I, J and M.
+
+    The message names the first axis that disagrees.
+    """
+    axes = ("bins", "frames", "channels")
+    if X.ndim != 3:
+        raise DimensionMismatchError(
+            f"spectrogram {X.shape} has {X.ndim} axes; the state needs 3 ({', '.join(axes)})"
+        )
+    i, j, _, _, m = state.dims
+    for axis, have, want in zip(axes, X.shape, (i, j, m)):
+        if have != want:
+            raise DimensionMismatchError(
+                f"spectrogram {X.shape} has {have} {axis}; the state has {want} {axis}"
+            )
+
+
 def _check_bases(t, v, z):
     if v.shape[0] != t.shape[1] or z.shape[0] != t.shape[1]:
         raise DimensionMismatchError(
@@ -158,10 +176,13 @@ def channel_gain(t, v, z, g, out):
     """chi in channel-leading layout (M, I, J), one matmul over the bases.
 
     chi_mij = sum_k w_mik v_kj with w_mik = t_ik sum_n z_kn g_inm, written
-    into out, a C-contiguous (M, I, J) array.  Takes the factor arrays so
-    callers can pass a subset of bins.
+    into out, a C-contiguous (M, I, J) array (ValueError otherwise: the
+    matmul would fill a reshaped copy and leave out unwritten).  Takes
+    the factor arrays so callers can pass a subset of bins.
     """
     _check_bases(t, v, z)
+    if not out.flags.c_contiguous:
+        raise ValueError("channel_gain: out must be C-contiguous")
     w = t[None] * (g.transpose(2, 0, 1) @ z.T)
     np.matmul(w.reshape(-1, w.shape[2]), v, out=out.reshape(-1, v.shape[1]))
     return out
@@ -186,10 +207,7 @@ def mixture_gain(state: SeparationState) -> np.ndarray:
 
 def projections(state: SeparationState, X: np.ndarray) -> np.ndarray:
     """p_ijm = q_im^H x_ij (row m of Q_i applied to x_ij), shape (I, J, M)."""
-    if X.shape[0] != state.spatial.Q.shape[0] or X.shape[2] != state.spatial.Q.shape[1]:
-        raise DimensionMismatchError(
-            f"spectrogram {X.shape} incompatible with Q {state.spatial.Q.shape}"
-        )
+    check_spectrogram(state, X)
     return (state.spatial.Q @ X.transpose(0, 2, 1)).transpose(0, 2, 1)
 
 
@@ -239,12 +257,20 @@ def save_state(state: SeparationState, path):
 
 
 def load_state(path) -> SeparationState:
+    """The state save_state wrote; ValueError naming the path if the file is not one."""
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("format") != "sgmnmf-state":
+    if not isinstance(doc, dict) or doc.get("format") != "sgmnmf-state":
         raise ValueError(f"{path}: not a state checkpoint")
+    if doc.get("version") != 1:
+        raise ValueError(f"{path}: unsupported checkpoint version {doc.get('version')!r}")
+    arrays = doc.get("arrays")
+    if not isinstance(doc.get("hyper"), dict) or not isinstance(arrays, dict):
+        raise ValueError(f"{path}: checkpoint lacks 'hyper' or 'arrays'")
+    for name in ("t", "v", "z", "g", "q"):
+        if name not in arrays:
+            raise ValueError(f"{path}: checkpoint lacks array {name!r}")
     hyper = Hyperparams(**doc["hyper"])
-    arrays = doc["arrays"]
     return SeparationState(
         SourceModel(_unpack(arrays["t"]), _unpack(arrays["v"]), _unpack(arrays["z"])),
         SpatialModel(_unpack(arrays["q"]), _unpack(arrays["g"])),

@@ -11,14 +11,14 @@ the general rule is the square-root rule bit for bit, and the same
 diagonalizer row sweep (_q_rows); only its row rule (iterative
 projection) differs.
 
-`run` is the only driver.  It computes what X alone determines once per
-run (FrameCache: the active bins and the packed, real frame products;
-X itself is read in place) and carries the projection powers
-p2 = |Q x|^2 over all bins, silent bins at zero, from one sub-update to
-the next.  Every other per-iteration array of (bin, channel, frame) or
-(bin, frame) size is a buffer that run allocates once (_Buffers) and
-the private kernels write into, so an iteration allocates no large
-array.  After each normalization it builds 1/chi and
+`run` is the only driver.  It builds one working set per run
+(_WorkingSet): what X alone determines (the active bins and the packed,
+real frame products; X itself is read in place), the projection powers
+p2 = |Q x|^2 over all bins, silent bins at zero, carried from one
+sub-update to the next, and one block of memory that holds every other
+per-iteration array of (bin, channel, frame) or (bin, frame) size.  The
+private kernels write into that block, so an iteration allocates no
+large array.  After each normalization it builds 1/chi and
 y = sum_m p2_m / chi_m once, for the cost and for the next t family.
 Arrays over (bin, channel, frame) use model's channel-leading layout
 (M, I, J), so every channel's (bin, frame) plane is one contiguous
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, model, objective
-from .errors import DimensionMismatchError, NonFiniteError, SingularMatrixError
+from .errors import NonFiniteError, SingularMatrixError
 
 # row projections are floored at this fraction of the frame scale inside
 # the diagonalizer update; see _row_system
@@ -69,9 +69,10 @@ def _packed_products(x):
     return xx
 
 
-class FrameCache:
-    """What the diagonalizer rules need from X, built once per run.
+class _WorkingSet:
+    """Every array a run works in, built once by run from X and Q.
 
+    What X determines:
     active: bins with a nonzero frame (silent bins keep their Q_i);
     bins: the same bins as a slice when every bin is active, so that
     indexing with it makes views, not copies;
@@ -80,84 +81,52 @@ class FrameCache:
     xx: the frame products of x packed real (see _packed_products),
     (A, J, M^2) float64, so each weighted covariance sum_j w_j x_j x_j^H
     is one real matmul and comes out exactly Hermitian.
+
+    p2: the projection powers |Q x|^2 over all bins, (M, I, J), silent
+    bins at zero, carried from one sub-update to the next.
+
+    One float64 block holds every other per-iteration array:
+    y, y_pow (I, J) at its start and ab, the _chi_weights stack
+    (2, M, I, J), at its end.  Each chi is built in ab[1] and inverted
+    there in place.  The row sweep's arrays over the active bins lie at
+    the start, over y, y_pow and ab[0], which are dead from the end of
+    the g family to the next cost: s, w (2, A, J) and pm2 (A, J) for
+    _row_system, and p (A, J, 1) complex, over s and w[0], for the
+    projections of a solved row.  inv_chi, the sweep's 1/chi at the
+    active bins (M, A, J), is the tail of ab[1].  When some bin is
+    silent, q and p2_act take Q and p2 gathered at the active bins.
     """
 
-    def __init__(self, X: np.ndarray):
+    def __init__(self, X: np.ndarray, Q: np.ndarray):
         X = np.asarray(X, dtype=np.complex128)
-        self.shape = X.shape
+        n_bins, n_frames, n_ch = X.shape
         self.active = np.flatnonzero(np.abs(X).max(axis=(1, 2)) > 0)
-        self.bins = slice(None) if self.active.size == X.shape[0] else self.active
+        n_active = self.active.size
+        self.bins = slice(None) if n_active == n_bins else self.active
         self.x = X[self.bins]
         self.xx = _packed_products(self.x)
-
-    def projection_powers(self, q):
-        """|Q x|^2 over all bins, (M, I, J); silent bins are zero columns of axis 1."""
-        n_bins, n_frames, n_ch = self.shape
-        if q.shape[0] != n_bins or q.shape[1] != n_ch:
-            raise DimensionMismatchError(
-                f"spectrogram with {n_bins} bins x {n_ch} channels "
-                f"incompatible with Q {q.shape}"
-            )
-        out = np.zeros((n_ch, n_bins, n_frames))
-        p = q[self.bins] @ self.x.transpose(0, 2, 1)
-        out[:, self.bins] = np.abs(p.transpose(1, 0, 2)) ** 2
-        return out
-
-
-@dataclass
-class _RowScratch:
-    """The row sweep's work arrays over the active bins.
-
-    s, pm2 (A, J) and the covariance weights w (2, A, J) for _row_system;
-    p (A, J, 1) complex for the projections of a solved row.  p lies
-    over s and w[0], which are dead once the row system is built.
-    """
-
-    s: np.ndarray
-    pm2: np.ndarray
-    w: np.ndarray
-    p: np.ndarray
-
-
-def _views(block, *shapes):
-    """Consecutive C-contiguous views of the flat float64 block, one per shape."""
-    views, at = [], 0
-    for shape in shapes:
-        size = int(np.prod(shape))
-        views.append(block[at : at + size].reshape(shape))
-        at += size
-    return views
-
-
-class _Buffers:
-    """Every per-iteration array of a run, allocated once by run.
-
-    One block holds y, y_pow (I, J) at its start and ab, the
-    _chi_weights stack (2, M, I, J), at its end.  Each chi is built in
-    ab[1] and inverted there in place; during a row sweep, the tail of
-    ab[1] holds 1/chi at the active bins as its own C-contiguous
-    (M, A, J) array.  rows, the sweep's _RowScratch, lies at the start,
-    over y, y_pow and ab[0], which are dead from the end of the g family
-    to the next cost.  When some bin is silent, q and p2 take the
-    gathered Q and projection powers of the active bins.
-    """
-
-    def __init__(self, cache: FrameCache):
-        n_bins, n_frames, n_ch = cache.shape
-        n_active = cache.active.size
-        # rows (4 A planes) and 1/chi (M A planes) must not meet, which
-        # takes one plane more than y, y_pow and ab only at M = 1
-        plane = n_bins * n_frames
+        # the complex projections die in this statement, before the block
+        self.p2 = np.zeros((n_ch, n_bins, n_frames))
+        self.p2[:, self.bins] = np.abs(
+            (Q[self.bins] @ self.x.transpose(0, 2, 1)).transpose(1, 0, 2)
+        ) ** 2
+        # the row arrays (4 A planes) and inv_chi (M A planes) must not
+        # meet, which takes one plane more than y, y_pow and ab only at M = 1
+        plane, act = n_bins * n_frames, n_active * n_frames
         block = np.empty(max(2 * n_ch + 2, n_ch + 4) * plane)
-        self.y, self.y_pow = _views(block, (n_bins, n_frames), (n_bins, n_frames))
-        self.ab = block[-2 * n_ch * plane :].reshape(2, n_ch, n_bins, n_frames)
-        s, w, pm2 = _views(block, (n_active, n_frames), (2, n_active, n_frames),
-                           (n_active, n_frames))
-        p = block[: 2 * s.size].view(np.complex128).reshape(n_active, n_frames, 1)
-        self.rows = _RowScratch(s, pm2, w, p)
+        end = block.size
+        self.y = block[:plane].reshape(n_bins, n_frames)
+        self.y_pow = block[plane : 2 * plane].reshape(n_bins, n_frames)
+        self.ab = block[end - 2 * n_ch * plane :].reshape(2, n_ch, n_bins, n_frames)
+        self.s = block[:act].reshape(n_active, n_frames)
+        self.w = block[act : 3 * act].reshape(2, n_active, n_frames)
+        self.pm2 = block[3 * act : 4 * act].reshape(n_active, n_frames)
+        self.p = block[: 2 * act].view(np.complex128).reshape(n_active, n_frames, 1)
+        # end - size, not -size: with no active bin, block[-0:] is the whole block
+        self.inv_chi = block[end - n_ch * act :].reshape(n_ch, n_active, n_frames)
         if n_active < n_bins:
             self.q = np.empty((n_active, n_ch, n_ch), dtype=np.complex128)
-            self.p2 = np.empty((n_ch, n_active, n_frames))
+            self.p2_act = np.empty((n_ch, n_active, n_frames))
 
 
 def _weighted_cov(w, xx):
@@ -255,11 +224,11 @@ def _family_sums(name, state, ab, y):
     return tz @ c.transpose(0, 2, 3, 1)
 
 
-def _sweep_tvzg(state, p2, buf, on_phase):
-    """The t, v, z, g sweep from the projection powers p2, (M, I, J).
+def _sweep_tvzg(state, ws, on_phase):
+    """The t, v, z, g sweep from the projection powers ws.p2, (M, I, J).
 
     Each factor is theta * (beta*num / (2*den))^{2/(beta+2)}.  The first
-    family reads the _chi_weights and y that _cost left in buf; every
+    family reads the _chi_weights and y that _cost left in ws; every
     later family builds its own from the latest state, and y only when
     beta != 2.
     """
@@ -270,10 +239,10 @@ def _sweep_tvzg(state, p2, buf, on_phase):
               "g": state.spatial.G}
     for name, arr in arrays.items():
         if name != "t":
-            _chi_weights(p2, _gain(state, buf.ab[1]), buf.ab)
+            _chi_weights(ws.p2, _gain(state, ws.ab[1]), ws.ab)
             if beta != 2.0:
-                model.sum_channels(buf.ab[0], buf.y)
-        num, den = _family_sums(name, state, buf.ab, buf.y)
+                model.sum_channels(ws.ab[0], ws.y)
+        num, den = _family_sums(name, state, ws.ab, ws.y)
         factor = (beta * num / (2.0 * den)) ** expo
         _check_factor(name, factor)
         arr *= factor
@@ -286,16 +255,15 @@ def _sweep_tvzg(state, p2, buf, on_phase):
 # diagonalizer updates
 
 
-def _row_system(p2, inv_chi, xx, q, m, beta, work):
+def _row_system(ws, q, p2, m, beta):
     """Per-bin quantities for the sub-Gaussian update of row m.
 
-    Takes the projection powers p2 = |p|^2 and inverse gains 1/chi (M, A, J), the
-    packed frame products xx (A, J, M^2), Q (A, M, M) and the sweep's
-    _RowScratch.  Returns (U, B, pm2, w2): the new row solves
-    (Q B)^{-1} e_m, and pm2 = |p_m|^2 (floored) and w2 = |p_m|^{beta-2} /
-    r^beta, views of work.pm2 and work.w, feed the ray-scale step, with r
-    the auxiliary radius.  Frames with zero energy are masked out of all
-    sums (they contribute nothing to the objective).
+    Takes Q (A, M, M) and the projection powers p2 = |p|^2 (M, A, J) at
+    the active bins, and reads ws.inv_chi and ws.xx.  Returns (U, B, pm2,
+    w2): the new row solves (Q B)^{-1} e_m, and pm2 = |p_m|^2 (floored)
+    and w2 = |p_m|^{beta-2} / r^beta, views of ws.pm2 and ws.w, feed the
+    ray-scale step, with r the auxiliary radius.  Frames with zero energy
+    are masked out of all sums (they contribute nothing to the objective).
 
     With s = sum_m |p_m|^2 / chi_m, r^beta = |p_m|^{beta-2} chi_m
     s^{1-beta/2}, so both covariance weights need one general power:
@@ -311,7 +279,7 @@ def _row_system(p2, inv_chi, xx, q, m, beta, work):
     consistent; the tangency slack it introduces is second order in the
     floor, far below the descent tolerance.
     """
-    s, pm2 = work.s, work.pm2
+    s, pm2, inv_chi = ws.s, ws.pm2, ws.inv_chi
     # s channel by channel, in model.sum_channels' order
     np.multiply(p2[0], inv_chi[0], out=s)
     for c in range(1, p2.shape[0]):
@@ -323,12 +291,12 @@ def _row_system(p2, inv_chi, xx, q, m, beta, work):
     np.divide(pm2, icm, out=pm2)
     np.maximum(p2[m], pm2, out=pm2)
     # the covariance weights [w1, w2], so one matmul takes both
-    w1, w2 = work.w
+    w1, w2 = ws.w
     np.divide(icm, np.power(s, 1.0 - beta / 2.0, out=w1), out=w2)
     np.copyto(w2, 0.0, where=silent)
     np.divide(w2, pm2, out=w1)
     np.sqrt(w1, out=w1)
-    cov = _weighted_cov(work.w.transpose(1, 0, 2), xx)
+    cov = _weighted_cov(ws.w.transpose(1, 0, 2), ws.xx)
     u = cov[:, 0]
     uq = _mat_mul(u, q[:, m, :, None].conj())
     quq = _mat_mul(q[:, m, None, :], uq)[:, 0, 0].real
@@ -378,84 +346,78 @@ def _solve_row(q, a, m, bins):
         ) from exc
 
 
-# Each row rule takes the active bins -- Q (A, M, M), x (A, J, M), the
-# packed frame products xx (A, J, M^2), p2 = |Q x|^2 and 1/chi (M, A, J) --
-# the row m, beta, their frequency bins and the sweep's _RowScratch.  It
-# returns the new row m of Q, (A, M), and writes its |q^H x|^2 into p2[m].
+# Each row rule takes the run's _WorkingSet, Q (A, M, M) and p2 = |Q x|^2
+# (M, A, J) at the active bins, the row m and beta.  It returns the new
+# row m of Q, (A, M), and writes its |q^H x|^2 into p2[m].
 
 
-def _subgaussian_row(q, x, xx, p2, inv_chi, m, beta, bins, work):
+def _subgaussian_row(ws, q, p2, m, beta):
     """Auxiliary-function update of row m for beta in (2, 4].
 
     The row is re-solved from (Q_i B_im)^{-1} e_m and then rescaled along
     its ray so that sum_j |q^H x_j|^beta / r_j^beta = 2J/beta, which is
     the exact minimizer of the row surrogate.
     """
-    _, b, pm2, w2 = _row_system(p2, inv_chi, xx, q, m, beta, work)
-    qnew = _solve_row(q, b, m, bins)
-    pnew2 = _row_power(qnew.conj(), x, work.p, p2[m])
-    ssum = _scaled_power(pnew2, pm2, w2, beta, work.s).sum(axis=1)
-    scale = (2.0 * x.shape[1] / (beta * ssum)) ** (1.0 / beta)
-    _require(np.isfinite(scale), "diagonalizer row scale is NaN/Inf", m, bins)
+    _, b, pm2, w2 = _row_system(ws, q, p2, m, beta)
+    qnew = _solve_row(q, b, m, ws.active)
+    pnew2 = _row_power(qnew.conj(), ws.x, ws.p, p2[m])
+    ssum = _scaled_power(pnew2, pm2, w2, beta, ws.s).sum(axis=1)
+    scale = (2.0 * ws.x.shape[1] / (beta * ssum)) ** (1.0 / beta)
+    _require(np.isfinite(scale), "diagonalizer row scale is NaN/Inf", m, ws.active)
     pnew2 *= (scale**2)[:, None]
     return (qnew * scale[:, None]).conj()
 
 
-def _gaussian_row(q, x, xx, p2, inv_chi, m, beta, bins, work):
+def _gaussian_row(ws, q, p2, m, beta):
     """Iterative projection of row m for the Gaussian model.
 
     The row solves (Q_i U_im)^{-1} e_m, U_im = (1/J) sum_j x_j x_j^H /
     chi_imj, and is normalized to q^H U q = 1 against the true U.
     """
-    u = _weighted_cov(inv_chi[m], xx) / x.shape[1]
-    qnew = _solve_row(q, u, m, bins)
+    u = _weighted_cov(ws.inv_chi[m], ws.xx) / ws.x.shape[1]
+    qnew = _solve_row(q, u, m, ws.active)
     quq = _mat_mul(_mat_mul(qnew.conj()[:, None, :], u), qnew[:, :, None])[:, 0, 0].real
-    _require(
-        (quq > 0) & np.isfinite(quq), "iterative projection normalizer is not positive", m, bins
-    )
+    ok = (quq > 0) & np.isfinite(quq)
+    _require(ok, "iterative projection normalizer is not positive", m, ws.active)
     row = (qnew / np.sqrt(quq)[:, None]).conj()
-    _row_power(row, x, work.p, p2[m])
+    _row_power(row, ws.x, ws.p, p2[m])
     return row
 
 
 _ROW_RULES = {"subgaussian": _subgaussian_row, "gaussian": _gaussian_row}
 
 
-def _q_rows(state, cache, p2, buf, on_phase=None):
-    """One sweep over the rows of every active Q_i; updates p2 in place.
+def _q_rows(state, ws, on_phase=None):
+    """One sweep over the rows of every active Q_i; updates ws.p2 in place.
 
     The row rule is the one of state.hyper.algorithm; it reads and
     writes Q and p2 (M, I, J) at the active bins only, in one pass per
-    row, working in buf, the run's _Buffers.  1/chi at the active bins
-    is built once, in the tail of ab[1]'s memory.  When every bin is
-    active the rule reads and writes Q and p2 themselves; otherwise it
-    works on their active bins gathered into buf.q and buf.p2, and each
-    solved row is written back into Q and p2 at once.
+    row.  1/chi at the active bins is built once, in ws.inv_chi.  When
+    every bin is active the rule reads and writes Q and p2 themselves;
+    otherwise it works on their active bins gathered into ws.q and
+    ws.p2_act, and each solved row is written back into Q and p2 at once.
     on_phase(f"q_row_{m}", state) fires after each row.
     """
-    active = cache.active
+    active = ws.active
     if active.size == 0:
         return
     rule = _ROW_RULES[state.hyper.algorithm]
-    q_all = state.spatial.Q
-    gather = not isinstance(cache.bins, slice)
-    q, p2_act = q_all, p2
+    q_all, p2_all = state.spatial.Q, ws.p2
+    gather = not isinstance(ws.bins, slice)
+    q, p2 = q_all, p2_all
     if gather:
         # mode="clip" writes straight into a contiguous out; the indices are valid
-        q = np.take(q_all, active, axis=0, out=buf.q, mode="clip")
-        p2_act = buf.p2
+        q = np.take(q_all, active, axis=0, out=ws.q, mode="clip")
+        p2 = ws.p2_act
         for c in range(p2.shape[0]):
-            np.take(p2[c], active, axis=0, out=p2_act[c], mode="clip")
+            np.take(p2_all[c], active, axis=0, out=p2[c], mode="clip")
     # chi is fixed during the sweep: every row of both rules reads 1/chi
-    inv_chi = buf.ab[1].reshape(-1)[-p2_act.size :].reshape(p2_act.shape)
-    np.divide(1.0, _gain(state, inv_chi, cache.bins), out=inv_chi)
+    np.divide(1.0, _gain(state, ws.inv_chi, ws.bins), out=ws.inv_chi)
     for m in range(q.shape[1]):
-        q[:, m, :] = rule(
-            q, cache.x, cache.xx, p2_act, inv_chi, m, state.hyper.beta, active, buf.rows
-        )
+        q[:, m, :] = rule(ws, q, p2, m, state.hyper.beta)
         if gather:
             q_all[active, m, :] = q[:, m, :]
-            p2[m, active] = p2_act[m]
+            p2_all[m, active] = p2[m]
         if on_phase is not None:
             on_phase(f"q_row_{m}", state)
 
@@ -487,20 +449,20 @@ def normalize_and_rescale(state: model.SeparationState):
     return state
 
 
-def _cost(state, p2, buf):
-    """The objective at the state from the projection powers p2, (M, I, J).
+def _cost(state, ws):
+    """The objective at the state from the projection powers ws.p2, (M, I, J).
 
     Q is final for the iteration and the state is normalized, so the
-    _chi_weights and y it leaves in buf are what the next t family
+    _chi_weights and y it leaves in ws are what the next t family
     would build (see _sweep_tvzg).  The gains chi are built after
     normalization, whose floor can change them; sum log chi is taken,
     through ab[0], before chi is inverted in ab[1].
     """
-    chi = _gain(state, buf.ab[1])
-    log_chi_sum = np.sum(np.log(chi, out=buf.ab[0]))
-    _chi_weights(p2, chi, buf.ab)
-    y = model.sum_channels(buf.ab[0], buf.y)
-    return objective.jd_cost(state.spatial.Q, y, log_chi_sum, state.hyper.beta, buf.y_pow)
+    chi = _gain(state, ws.ab[1])
+    log_chi_sum = np.sum(np.log(chi, out=ws.ab[0]))
+    _chi_weights(ws.p2, chi, ws.ab)
+    y = model.sum_channels(ws.ab[0], ws.y)
+    return objective.jd_cost(state.spatial.Q, y, log_chi_sum, state.hyper.beta, ws.y_pow)
 
 
 @dataclass
@@ -523,17 +485,13 @@ def run(
     on_subupdate(name, state) fires after every sub-update ('t', 'v',
     'z', 'g', 'q_row_<m>', 'normalize'); on_iteration(report) after
     each full iteration.  `workers` is accepted for compatibility and
-    ignored: the run is single-threaded.  X must have the
-    state's frame count (DimensionMismatchError otherwise) and only
+    ignored: the run is single-threaded.  X must match the state's
+    shape (model.check_spectrogram) and have only
     finite entries (NonFiniteError naming the first bad one otherwise).
     A NonFiniteError or SingularMatrixError raised by an iteration is
     re-raised as the same type, prefixed with "iteration N: ".
     """
-    n_frames = state.source.V.shape[1]
-    if X.shape[1] != n_frames:
-        raise DimensionMismatchError(
-            f"spectrogram {X.shape} has {X.shape[1]} frames; the state has {n_frames} frames"
-        )
+    model.check_spectrogram(state, X)
     # the (I, J, M) mask lives only for the check, not through the run
     if not np.isfinite(X).all():
         i, j, m = np.unravel_index(np.flatnonzero(~np.isfinite(X))[0], X.shape)
@@ -544,18 +502,16 @@ def run(
     iters = state.hyper.iterations
     if iters == 0:
         return state, trace
-    cache = FrameCache(X)
-    p2 = cache.projection_powers(state.spatial.Q)
-    buf = _Buffers(cache)
-    cost_before = _cost(state, p2, buf)
+    ws = _WorkingSet(X, state.spatial.Q)
+    cost_before = _cost(state, ws)
     for it in range(1, iters + 1):
         phase_ms = {}
         t0 = time.perf_counter()
         try:
-            _sweep_tvzg(state, p2, buf, on_subupdate)
+            _sweep_tvzg(state, ws, on_subupdate)
             t1 = time.perf_counter()
             phase_ms["tvzg"] = (t1 - t0) * 1000.0
-            _q_rows(state, cache, p2, buf, on_subupdate)
+            _q_rows(state, ws, on_subupdate)
             t2 = time.perf_counter()
             phase_ms["q"] = (t2 - t1) * 1000.0
             normalize_and_rescale(state)
@@ -563,7 +519,7 @@ def run(
                 on_subupdate("normalize", state)
             t3 = time.perf_counter()
             phase_ms["normalize"] = (t3 - t2) * 1000.0
-            cost = _cost(state, p2, buf)
+            cost = _cost(state, ws)
             phase_ms["cost"] = (time.perf_counter() - t3) * 1000.0
         except SingularMatrixError as exc:
             raise SingularMatrixError(f"iteration {it}: {exc}", exc.index) from exc

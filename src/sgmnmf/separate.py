@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import audio, linalg, model
-from .errors import DimensionMismatchError
 
 
 @dataclass
@@ -43,16 +42,7 @@ def wiener_separate(state: model.SeparationState, X: np.ndarray) -> SeparatedSou
     spectrogram, so beside sigma, chi and the output only one block's
     right-hand sides are alive.
     """
-    n_frames = state.source.V.shape[1]
-    if X.ndim != 3 or X.shape[1] != n_frames:
-        got = f"{X.shape[1]} frames" if X.ndim == 3 else f"{X.ndim} axes"
-        raise DimensionMismatchError(
-            f"spectrogram {X.shape} has {got}; the state has {n_frames} frames"
-        )
-    if X.shape[0] != state.spatial.Q.shape[0] or X.shape[2] != state.spatial.Q.shape[1]:
-        raise DimensionMismatchError(
-            f"spectrogram {X.shape} incompatible with Q {state.spatial.Q.shape}"
-        )
+    model.check_spectrogram(state, X)
     sigma = model.compute_source_psd(state.source).transpose(0, 2, 1)
     chi = model.mixture_gain(state).transpose(0, 2, 1)
     q, g = state.spatial.Q, state.spatial.G

@@ -49,9 +49,7 @@ def random_mixture(rng, n_bins=5, n_frames=7, n_channels=2):
 
 def q_sweep(state, X):
     """One diagonalizer row sweep on state, set up as optimizer.run sets it up."""
-    cache = optimizer.FrameCache(X)
-    p2 = cache.projection_powers(state.spatial.Q)
-    optimizer._q_rows(state, cache, p2, optimizer._Buffers(cache))
+    optimizer._q_rows(state, optimizer._WorkingSet(X, state.spatial.Q))
 
 
 def comod_multitone(seed, length, n_tones=8, depth=0.8, sample_rate=16000):

@@ -206,13 +206,9 @@ def surrogate_tvzg(state: model.SeparationState, X: np.ndarray, aux: Auxiliary) 
 def row_update_terms(state: model.SeparationState, X: np.ndarray, row: int):
     """(r, U, B) for one diagonalizer row at the current state; X has no silent bin."""
     beta = state.hyper.beta
-    cache = optimizer.FrameCache(X)
-    buf = optimizer._Buffers(cache)
-    inv_chi = 1.0 / optimizer._gain(state, buf.ab[1])
-    u, b, pm2, w2 = optimizer._row_system(
-        cache.projection_powers(state.spatial.Q), inv_chi, cache.xx, state.spatial.Q, row,
-        beta, buf.rows,
-    )
+    ws = optimizer._WorkingSet(X, state.spatial.Q)
+    np.divide(1.0, optimizer._gain(state, ws.inv_chi), out=ws.inv_chi)
+    u, b, pm2, w2 = optimizer._row_system(ws, state.spatial.Q, ws.p2, row, beta)
     rb = np.divide(pm2 ** (beta / 2.0 - 1.0), w2, out=np.ones_like(w2), where=w2 > 0)
     return {"r": rb ** (1.0 / beta), "U": u, "B": b}
 
@@ -224,27 +220,24 @@ def post_scale_sums(state: model.SeparationState, X: np.ndarray) -> np.ndarray:
     with the rescaled row, shape (A, M).  The weights r come from the
     row system of the state the row update started from, recomputed
     after the row, so the sum is the one the update's scale step drives
-    to 2J/beta.  The sweep works in its own buffers, the recomputation
-    in a second set.
+    to 2J/beta.  The sweep works in its own working set, the
+    recomputation in a second one.
     """
     beta = state.hyper.beta
-    cache = optimizer.FrameCache(X)
-    scratch = optimizer._Buffers(cache)
-    p2 = cache.projection_powers(state.spatial.Q)
-    active = cache.active
-    p2_row, q_row = p2[:, active], state.spatial.Q[active]
-    inv_chi = 1.0 / optimizer._gain(state, np.empty(p2_row.shape), active)
+    ws = optimizer._WorkingSet(X, state.spatial.Q)
+    scratch = optimizer._WorkingSet(X, state.spatial.Q)
+    active = ws.active
+    np.divide(1.0, optimizer._gain(state, scratch.inv_chi, active), out=scratch.inv_chi)
+    p2_row, q_row = ws.p2[:, active], state.spatial.Q[active]
     sums = np.empty((active.size, state.spatial.Q.shape[1]))
 
     def after_row(name, st):
         nonlocal p2_row, q_row
         m = int(name.removeprefix("q_row_"))
-        _, _, pm2, w2 = optimizer._row_system(
-            p2_row, inv_chi, cache.xx, q_row, m, beta, scratch.rows
-        )
-        post = np.abs((cache.x @ st.spatial.Q[active, m, :, None])[:, :, 0]) ** 2
-        sums[:, m] = optimizer._scaled_power(post, pm2, w2, beta, scratch.rows.s).sum(axis=1)
-        p2_row, q_row = p2[:, active], st.spatial.Q[active]
+        _, _, pm2, w2 = optimizer._row_system(scratch, q_row, p2_row, m, beta)
+        post = np.abs((ws.x @ st.spatial.Q[active, m, :, None])[:, :, 0]) ** 2
+        sums[:, m] = optimizer._scaled_power(post, pm2, w2, beta, scratch.s).sum(axis=1)
+        p2_row, q_row = ws.p2[:, active], st.spatial.Q[active]
 
-    optimizer._q_rows(state, cache, p2, optimizer._Buffers(cache), on_phase=after_row)
+    optimizer._q_rows(state, ws, on_phase=after_row)
     return sums

@@ -128,7 +128,7 @@ def test_in_order_product(n_ch, n_cols):
 def test_weighted_covariance(n_ch, n_src, n_bases):
     st, X = _state(220, n_ch, n_src, n_bases)
     w = np.random.default_rng(221).uniform(0.1, 3.0, X.shape[:2])
-    got = optimizer._weighted_cov(w, optimizer.FrameCache(X).xx)
+    got = optimizer._weighted_cov(w, optimizer._packed_products(X))
     want = np.einsum("ij,ija,ijb->iab", w, X, X.conj())
     _assert_close(got, want, axes=(1, 2))
 
@@ -138,7 +138,7 @@ def test_weighted_covariance_is_exactly_hermitian(n_ch):
     rng = np.random.default_rng(225)
     X = helpers.random_mixture(rng, 33, 17, n_ch)
     w = rng.uniform(0.1, 3.0, X.shape[:2])
-    cov = optimizer._weighted_cov(w, optimizer.FrameCache(X).xx)
+    cov = optimizer._weighted_cov(w, optimizer._packed_products(X))
     assert np.array_equal(cov, cov.conj().transpose(0, 2, 1))
     assert np.array_equal(np.diagonal(cov, axis1=1, axis2=2).imag, np.zeros((33, n_ch)))
 
@@ -161,10 +161,10 @@ def test_row_system(n_ch, n_src, n_bases, beta):
 @pytest.mark.parametrize("name", ["t", "v", "z", "g"])
 def test_family_sums(n_ch, n_src, n_bases, algorithm, beta, name):
     st, X = _state(240, n_ch, n_src, n_bases, beta=beta, algorithm=algorithm)
-    buf = optimizer._Buffers(optimizer.FrameCache(X))
+    ws = optimizer._WorkingSet(X, st.spatial.Q)
     p2 = np.abs(model.projections(st, X)) ** 2
-    ab = optimizer._chi_weights(_cm(p2), _cm(model.mixture_gain(st)), buf.ab)
-    got = optimizer._family_sums(name, st, ab, model.sum_channels(ab[0], buf.y))
+    ab = optimizer._chi_weights(_cm(p2), _cm(model.mixture_gain(st)), ws.ab)
+    got = optimizer._family_sums(name, st, ab, model.sum_channels(ab[0], ws.y))
     for have, want in zip(got, oracle_family_sums(name, st, X)):
         _assert_close(have, want)
 
@@ -172,12 +172,12 @@ def test_family_sums(n_ch, n_src, n_bases, algorithm, beta, name):
 @pytest.mark.parametrize("n_ch", [2, 3])
 def test_projection_powers_are_channel_leading(n_ch):
     st, X = _state(245, n_ch, n_ch, 2)
-    p2 = optimizer.FrameCache(X).projection_powers(st.spatial.Q)
+    p2 = optimizer._WorkingSet(X, st.spatial.Q).p2
     assert p2.shape == (n_ch,) + X.shape[:2]
     assert all(p2[m].flags.c_contiguous for m in range(n_ch))
     _assert_close(p2, _cm(np.abs(model.projections(st, X)) ** 2), axes=(0, 2))
     X[3] = 0.0
-    p2 = optimizer.FrameCache(X).projection_powers(st.spatial.Q)
+    p2 = optimizer._WorkingSet(X, st.spatial.Q).p2
     assert np.array_equal(p2[:, 3], np.zeros((n_ch, X.shape[1])))
 
 
@@ -186,32 +186,24 @@ def test_projection_powers_are_channel_leading(n_ch):
 def test_projections_carried_across_q_sweep(n_ch, n_src, n_bases, algorithm, beta):
     st, X = _state(250, n_ch, n_src, n_bases, beta=beta, algorithm=algorithm)
     X[2] = 0.0  # a silent bin is skipped by the sweep
-    cache = optimizer.FrameCache(X)
-    p2 = cache.projection_powers(st.spatial.Q)
-    buf = optimizer._Buffers(cache)
+    ws = optimizer._WorkingSet(X, st.spatial.Q)
     for _ in range(2):
-        optimizer._q_rows(st, cache, p2, buf)
-        fresh = np.abs(model.projections(st, X)[cache.active]) ** 2
-        _assert_close(p2[:, cache.active], _cm(fresh), axes=(0, 2))
-        assert np.array_equal(p2[:, 2], np.zeros((n_ch, X.shape[1])))
+        optimizer._q_rows(st, ws)
+        fresh = np.abs(model.projections(st, X)[ws.active]) ** 2
+        _assert_close(ws.p2[:, ws.active], _cm(fresh), axes=(0, 2))
+        assert np.array_equal(ws.p2[:, 2], np.zeros((n_ch, X.shape[1])))
 
 
 @pytest.mark.parametrize("n_ch", [1, 2, 3])
 @pytest.mark.parametrize("silent", [False, True])
-def test_row_scratch_never_meets_inv_chi(monkeypatch, n_ch, silent):
+def test_row_scratch_never_meets_inv_chi(n_ch, silent):
     # the sweep's 1/chi and its work arrays are views of one block
     st, X = _state(255, n_ch, n_ch, 2)
     if silent:
         X[2] = 0.0
-    rule, seen = optimizer._ROW_RULES["subgaussian"], []
-
-    def checked(q, x, xx, p2, inv_chi, m, beta, bins, work):
-        seen.append([np.shares_memory(inv_chi, a) for a in (work.s, work.pm2, work.w, work.p)])
-        return rule(q, x, xx, p2, inv_chi, m, beta, bins, work)
-
-    monkeypatch.setitem(optimizer._ROW_RULES, "subgaussian", checked)
-    helpers.q_sweep(st, X)
-    assert seen == [[False] * 4] * n_ch
+    ws = optimizer._WorkingSet(X, st.spatial.Q)
+    assert np.shares_memory(ws.inv_chi, ws.ab[1])
+    assert [np.shares_memory(ws.inv_chi, a) for a in (ws.s, ws.pm2, ws.w, ws.p)] == [False] * 4
 
 
 def test_worker_count_does_not_change_results_three_channels():

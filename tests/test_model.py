@@ -1,11 +1,14 @@
 """Model containers: validation, seeding, derived quantities, persistence."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
 import helpers
 import oracles
-from sgmnmf import model
+from sgmnmf import model, objective, optimizer, separate
 from sgmnmf.errors import DimensionMismatchError, NonFiniteError
 
 
@@ -141,6 +144,15 @@ class TestDerivedQuantities:
         want = sum(sigma[i, j, n] * st.spatial.G[i, n, m] for n in range(2))
         assert chi[i, j, m] == pytest.approx(want, rel=1e-12)
 
+    def test_channel_gain_rejects_non_contiguous_out(self):
+        # matmul would fill a reshaped copy and return out unwritten
+        rng = np.random.default_rng(16)
+        st = helpers.random_state(rng, n_bins=4, n_frames=5, n_channels=2)
+        src = st.source
+        out = np.zeros((5, 4, 2)).transpose(2, 1, 0)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            model.channel_gain(src.T, src.V, src.Z, st.spatial.G, out)
+
     def test_projections_apply_stored_rows_without_conjugation(self):
         # rows of Q hold the already-conjugated steering direction, so the
         # projection is a plain (not Hermitian) inner product with the row
@@ -172,6 +184,32 @@ class TestDerivedQuantities:
                 np.testing.assert_allclose(d, np.diag(st.spatial.G[i, n]), atol=1e-10)
 
 
+class TestSpectrogramCheck:
+    # every function that takes a state and a spectrogram runs the one check
+    @pytest.mark.parametrize(
+        "fn",
+        [model.check_spectrogram, model.projections, objective.cost_ggd_jd,
+         separate.wiener_separate, optimizer.run],
+        ids=["check", "projections", "cost_ggd_jd", "wiener_separate", "run"],
+    )
+    @pytest.mark.parametrize(
+        "shape,msg",
+        [
+            ((8, 6, 2), r"^spectrogram \(8, 6, 2\) has 8 bins; the state has 9 bins$"),
+            ((9, 5, 2), r"^spectrogram \(9, 5, 2\) has 5 frames; the state has 6 frames$"),
+            ((9, 6, 3), r"^spectrogram \(9, 6, 3\) has 3 channels; the state has 2 channels$"),
+            ((9, 6), r"^spectrogram \(9, 6\) has 2 axes; the state needs 3 \(bins, "),
+        ],
+        ids=["bins", "frames", "channels", "axes"],
+    )
+    def test_names_the_axis(self, fn, shape, msg):
+        rng = np.random.default_rng(17)
+        st = helpers.random_state(rng, n_bins=9, n_frames=6, n_channels=2)
+        X = np.ones(shape, dtype=np.complex128)
+        with pytest.raises(DimensionMismatchError, match=msg):
+            fn(st, X)
+
+
 class TestPersistence:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(21)
@@ -197,8 +235,23 @@ class TestPersistence:
         model.save_state(back, second)
         assert first.read_bytes() == second.read_bytes()
 
-    def test_rejects_wrong_format_tag(self, tmp_path):
+    @pytest.mark.parametrize(
+        "edit,msg",
+        [
+            (lambda doc: {"format": "something-else"}, "not a state checkpoint"),
+            (lambda doc: [doc], "not a state checkpoint"),
+            (lambda doc: {**doc, "version": 99}, "unsupported checkpoint version 99"),
+            (lambda doc: {k: v for k, v in doc.items() if k != "hyper"}, "lacks 'hyper'"),
+            (lambda doc: {k: v for k, v in doc.items() if k != "arrays"}, "or 'arrays'"),
+            (lambda doc: {**doc, "arrays": {k: v for k, v in doc["arrays"].items() if k != "g"}},
+             "lacks array 'g'"),
+        ],
+        ids=["wrong_tag", "not_object", "version_99", "no_hyper", "no_arrays", "no_array_g"],
+    )
+    def test_rejects_wrong_format_tag(self, tmp_path, edit, msg):
+        rng = np.random.default_rng(23)
         path = tmp_path / "bogus.json"
-        path.write_text('{"format": "something-else"}')
-        with pytest.raises(ValueError):
+        model.save_state(helpers.random_state(rng), path)
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{re.escape(msg)}"):
             model.load_state(path)
