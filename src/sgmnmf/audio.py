@@ -128,7 +128,8 @@ def istft(spec: np.ndarray, cfg: StftConfig, length: int, sample_rate: int = 160
         denom[starts[j] : starts[j] + cfg.window_length] += wsq
     out = np.zeros((length, n_ch))
     for m in range(n_ch):
-        frames = np.fft.irfft(spec[:, :, m].T, n=cfg.fft_length, axis=1) * win
+        frames = np.fft.irfft(spec[:, :, m].T, n=cfg.fft_length, axis=1)
+        frames *= win
         buf = np.zeros(total)
         for j in range(n_frames):
             buf[starts[j] : starts[j] + cfg.window_length] += frames[j]

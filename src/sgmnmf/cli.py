@@ -2,7 +2,10 @@
 
 --workers is accepted for compatibility (a value below 1 is still an
 error) and ignored: the optimizer runs on one thread.  A rejected input
-leaves no output directory behind.
+leaves no output directory behind.  `separate` keeps the mixture's
+samples only while it checks and transforms them, and handles one
+source at a time after the Wiener filter: each source's image is
+synthesized and written before the next.
 """
 
 import argparse
@@ -75,7 +78,13 @@ def _require_independent_channels(path, spec):
         )
 
 
-def cmd_separate(cfg: config.RunConfig):
+def _read_mixture(cfg: config.RunConfig):
+    """(spec, stft_cfg, n_samples, sample_rate) of the checked mixture.
+
+    Every input check runs here, before any output exists.  The
+    time-domain samples are freed on return, so they are not alive
+    beside the optimizer's working set.
+    """
     if cfg.mixture is None:
         raise SgmnmfError("paths.mixture: required for separate")
     wave = audio.read_wav(cfg.mixture)
@@ -97,17 +106,25 @@ def cmd_separate(cfg: config.RunConfig):
         )
     spec = audio.stft(wave, stft_cfg)
     _require_independent_channels(cfg.mixture, spec)
+    return spec, stft_cfg, wave.n_samples, wave.sample_rate
+
+
+def cmd_separate(cfg: config.RunConfig):
+    spec, stft_cfg, n_samples, sample_rate = _read_mixture(cfg)
     # a rejected input leaves no directory; an unwritable one fails before the run
     out_dir = cfg.out if cfg.out is not None else "."
     os.makedirs(out_dir, exist_ok=True)
-    n_bins, n_frames, n_ch = spec.shape
 
-    state = model.init_state(cfg.hyper(), n_bins, n_frames, n_ch)
+    state = model.init_state(cfg.hyper(), *spec.shape)
     state, trace = optimizer.run(state, spec)
 
-    sep = separate.wiener_separate(state, spec)
-    separate.to_waveforms(sep, stft_cfg, wave.n_samples, sample_rate=wave.sample_rate)
-    separate.write_sources(sep, out_dir)
+    # one source at a time: each waveform is written before the next is synthesized
+    for n, image in enumerate(separate.wiener_separate(state, spec).spectra):
+        audio.write_wav(
+            os.path.join(out_dir, f"source_{n}.wav"),
+            audio.istft(image, stft_cfg, n_samples, sample_rate=sample_rate),
+        )
+    del image  # a view of the last source keeps every source's spectrum alive
     model.save_state(state, os.path.join(out_dir, "state.json"))
     if cfg.trace:
         trace.write_csv(os.path.join(out_dir, "trace.csv"))

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, fields
 from .audio import StftConfig
 from .errors import ConfigError, DimensionMismatchError
 from .model import Hyperparams
-from .simulate import RoomSpec
+from .simulate import SOURCE_KINDS, RoomSpec
 
 
 # field name -> declared default
@@ -194,7 +194,7 @@ def parse_scene_config(doc: dict) -> SceneConfig:
             "source_kind", f"expected a kind or a list of {n_sources} kinds"
         )
     for idx, kind in enumerate(kinds):
-        if kind not in ("uniform_iid", "am_tone"):
+        if kind not in SOURCE_KINDS:
             raise ConfigError(f"source_kind[{idx}]", f"unknown kind {kind!r}")
 
     scene = SceneConfig(

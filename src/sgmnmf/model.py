@@ -147,6 +147,26 @@ def sum_channels(x, out):
     return out
 
 
+def _power(x, e, out):
+    """x ** e into out, bitwise equal to ``np.power(x, e, out=out)``.
+
+    An exponent with an exact, faster numpy kernel uses it: 1 is a copy
+    (nothing when out is x), 2 np.square, 0.5 np.sqrt and -1 a division.
+    Every other exponent goes to np.power.
+    """
+    if e == 1.0:
+        if out is not x:
+            np.copyto(out, x)
+        return out
+    if e == 2.0:
+        return np.square(x, out=out)
+    if e == 0.5:
+        return np.sqrt(x, out=out)
+    if e == -1.0:
+        return np.divide(1.0, x, out=out)
+    return np.power(x, e, out=out)
+
+
 def check_spectrogram(state: SeparationState, X: np.ndarray):
     """Raise DimensionMismatchError unless X is (I, J, M) for the state's I, J and M.
 
@@ -267,12 +287,22 @@ def load_state(path) -> SeparationState:
     arrays = doc.get("arrays")
     if not isinstance(doc.get("hyper"), dict) or not isinstance(arrays, dict):
         raise ValueError(f"{path}: checkpoint lacks 'hyper' or 'arrays'")
+    unpacked = {}
     for name in ("t", "v", "z", "g", "q"):
         if name not in arrays:
             raise ValueError(f"{path}: checkpoint lacks array {name!r}")
-    hyper = Hyperparams(**doc["hyper"])
+        if not isinstance(arrays[name], dict):
+            raise ValueError(f"{path}: checkpoint array {name!r} is not an object")
+        try:
+            unpacked[name] = _unpack(arrays[name])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: checkpoint array {name!r}: {exc}") from exc
+    try:
+        hyper = Hyperparams(**doc["hyper"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: checkpoint 'hyper': {exc}") from exc
     return SeparationState(
-        SourceModel(_unpack(arrays["t"]), _unpack(arrays["v"]), _unpack(arrays["z"])),
-        SpatialModel(_unpack(arrays["q"]), _unpack(arrays["g"])),
+        SourceModel(unpacked["t"], unpacked["v"], unpacked["z"]),
+        SpatialModel(unpacked["q"], unpacked["g"]),
         hyper,
     )

@@ -37,7 +37,7 @@ def jd_cost(
     """
     n_frames = y.shape[1]
     det_term = -2.0 * n_frames * np.sum(linalg.log_abs_det(q))
-    val = det_term + log_chi_sum + np.sum(np.power(y, beta / 2.0, out=y_pow))
+    val = det_term + log_chi_sum + np.sum(model._power(y, beta / 2.0, y_pow))
     if not math.isfinite(val):
         raise NonFiniteError("objective evaluated to NaN/Inf")
     return float(val)

@@ -206,7 +206,7 @@ def _family_sums(name, state, ab, y):
     n_bases, n_src = z.shape
     # y^0 = 1 exactly, so the Gaussian model skips the power
     if state.hyper.beta != 2.0:
-        ab[0] *= np.power(y, state.hyper.beta / 2.0 - 1.0, out=y)[None]
+        ab[0] *= model._power(y, state.hyper.beta / 2.0 - 1.0, y)[None]
     ab[0] *= ab[1]
     if name in ("t", "v"):
         zg = g.transpose(2, 0, 1) @ z.T  # sum_n z_kn g_inm, (M, I, K)
@@ -292,7 +292,7 @@ def _row_system(ws, q, p2, m, beta):
     np.maximum(p2[m], pm2, out=pm2)
     # the covariance weights [w1, w2], so one matmul takes both
     w1, w2 = ws.w
-    np.divide(icm, np.power(s, 1.0 - beta / 2.0, out=w1), out=w2)
+    np.divide(icm, model._power(s, 1.0 - beta / 2.0, w1), out=w2)
     np.copyto(w2, 0.0, where=silent)
     np.divide(w2, pm2, out=w1)
     np.sqrt(w1, out=w1)
@@ -307,7 +307,7 @@ def _row_system(ws, q, p2, m, beta):
 def _scaled_power(p2, pm2, w2, beta, out):
     """|p|^beta / r^beta per frame, into out, from |p|^2 and _row_system's pm2, w2."""
     np.divide(p2, pm2, out=out)
-    np.power(out, beta / 2.0 - 1.0, out=out)
+    model._power(out, beta / 2.0 - 1.0, out)
     np.multiply(p2, out, out=out)
     out *= w2
     return out

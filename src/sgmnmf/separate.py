@@ -3,20 +3,21 @@
 The filter is applied in the diagonalized domain: project with Q_i,
 scale each channel by the source's share of the diagonal gain, and
 solve back through Q_i.  The per-source shares sum to one for every
-(i, j, m), so the estimates sum to the observation exactly.
+(i, j, m), so the estimates sum to the observation exactly.  Each
+source's image goes back to the time domain through audio.istft; the
+CLI synthesizes and writes one source at a time.
 """
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import audio, linalg, model
+from . import linalg, model
 
 
 @dataclass
 class SeparatedSources:
-    """Per-source spectrograms (N, I, J, M) and optional waveforms."""
+    """Per-source spectrograms (N, I, J, M), and waveforms for a caller to fill."""
 
     spectra: np.ndarray
     waveforms: list = field(default_factory=list)
@@ -54,27 +55,3 @@ def wiener_separate(state: model.SeparationState, X: np.ndarray) -> SeparatedSou
             rhs = sigma[b, n, None, :] * g[b, n, :, None] / chi[b] * p
             spectra[n, b] = linalg.solve(q[b], rhs).transpose(0, 2, 1)
     return SeparatedSources(spectra=spectra)
-
-
-def to_waveforms(
-    sep: SeparatedSources,
-    cfg: audio.StftConfig,
-    length: int,
-    sample_rate: int = 16000,
-):
-    """Inverse-transform every source image; fills sep.waveforms."""
-    sep.waveforms = [
-        audio.istft(sep.spectra[n], cfg, length, sample_rate=sample_rate)
-        for n in range(sep.n_sources)
-    ]
-    return sep.waveforms
-
-
-def write_sources(sep: SeparatedSources, out_dir):
-    """Write source_{n}.wav for every reconstructed waveform."""
-    paths = []
-    for n, wave in enumerate(sep.waveforms):
-        path = os.path.join(out_dir, f"source_{n}.wav")
-        audio.write_wav(path, wave)
-        paths.append(path)
-    return paths

@@ -18,6 +18,10 @@ from .audio import Waveform
 from .errors import DimensionMismatchError, EmptyInputError
 
 LOG_1000 = 3.0 * np.log(10.0)
+SOURCE_KINDS = ("uniform_iid", "am_tone", "comod_multitone")
+# comod_multitone: tones per source and the shared envelope's depth
+COMOD_TONES = 8
+COMOD_DEPTH = 0.8
 
 
 def _fft_len(n: int) -> int:
@@ -89,6 +93,11 @@ def gen_subgaussian_source(length: int, kind: str, seed, sample_rate: int = 1600
     am_tone: random-phase sinusoid with a slow random amplitude
     modulation; a sine's excess kurtosis is -1.5, the modulation keeps
     it negative while spreading energy over neighboring bins.
+    comod_multitone: COMOD_TONES random sinusoids under one shared slow
+    AM envelope of depth COMOD_DEPTH.  Each occupied bin sees a
+    near-constant-modulus phasor (ring-like), and the shared envelope
+    co-modulates every band of the source, the cue a shared-activation
+    factorization needs to keep a source's bands together.
     """
     if length <= 0:
         raise EmptyInputError("source length must be positive")
@@ -106,6 +115,17 @@ def gen_subgaussian_source(length: int, kind: str, seed, sample_rate: int = 1600
             2.0 * np.pi * f_am * t + phase_am
         )
         data = env * np.sin(2.0 * np.pi * f_c * t + phase)
+    elif kind == "comod_multitone":
+        t = np.arange(length)
+        carriers = rng.uniform(0.02, 0.18, COMOD_TONES)
+        phases = rng.uniform(0.0, 2 * np.pi, COMOD_TONES)
+        tones = np.zeros(length)
+        for f, p in zip(carriers, phases):
+            tones += np.sin(2 * np.pi * f * t + p)
+        f_am = rng.uniform(2e-5, 2e-4)
+        p_am = rng.uniform(0.0, 2 * np.pi)
+        env = 1.0 - COMOD_DEPTH / 2 + (COMOD_DEPTH / 2) * np.sin(2 * np.pi * f_am * t + p_am)
+        data = env * tones / np.sqrt(COMOD_TONES)
     else:
         raise ValueError(f"unknown source kind {kind!r}")
     return Waveform(sample_rate, data[:, None])

@@ -52,31 +52,13 @@ def q_sweep(state, X):
     optimizer._q_rows(state, optimizer._WorkingSet(X, state.spatial.Q))
 
 
-def comod_multitone(seed, length, n_tones=8, depth=0.8, sample_rate=16000):
-    """Sum of random sinusoids under one shared slow AM envelope.
-
-    Each occupied bin sees a near-constant-modulus phasor across frames
-    (ring-like, negative excess kurtosis), while the shared envelope
-    co-modulates every band of the source -- the cue a shared-activation
-    factorization needs to keep a source's bands together.
-    """
-    rng = np.random.default_rng([seed, 77])
-    t = np.arange(length)
-    carriers = rng.uniform(0.02, 0.18, n_tones)
-    phases = rng.uniform(0.0, 2 * np.pi, n_tones)
-    tones = np.zeros(length)
-    for f, p in zip(carriers, phases):
-        tones += np.sin(2 * np.pi * f * t + p)
-    f_am = rng.uniform(2e-5, 2e-4)
-    p_am = rng.uniform(0.0, 2 * np.pi)
-    env = 1.0 - depth / 2 + (depth / 2) * np.sin(2 * np.pi * f_am * t + p_am)
-    return audio.Waveform(sample_rate, (env * tones / np.sqrt(n_tones))[:, None])
-
-
 def trend_scene(seed, length=30000, rt60=0.3, tail_gain=0.05):
     """Two co-modulated multitone sources through seeded synthetic RIRs."""
     room = simulate.RoomSpec(rt60=rt60, filter_length=4800, seed=seed, tail_gain=tail_gain)
-    dries = [comod_multitone(1000 * seed + n, length) for n in range(2)]
+    dries = [
+        simulate.gen_subgaussian_source(length, "comod_multitone", [1000 * seed + n, 77])
+        for n in range(2)
+    ]
     return simulate.mix(dries, simulate.synth_rir(room))
 
 

@@ -345,8 +345,8 @@ def test_qualitative_trend():
             state = model.init_state(hyper, *X.shape)
             state, _ = optimizer.run(state, X)
             sep = separate.wiener_separate(state, X)
-            separate.to_waveforms(sep, cfg, length)
-            rep = metrics.sdr_improvement(sep.waveforms, bundle.images, bundle.mixture)
+            waves = [audio.istft(s, cfg, length) for s in sep.spectra]
+            rep = metrics.sdr_improvement(waves, bundle.images, bundle.mixture)
             scores[algo] = rep.mean_improvement
         subs.append(scores["subgaussian"])
         gausses.append(scores["gaussian"])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import helpers
-from sgmnmf import audio, cli, config, model, objective
+from sgmnmf import audio, cli, config, model, objective, separate, simulate
 from sgmnmf.errors import ConfigError
 
 
@@ -282,6 +282,20 @@ class TestPipeline:
         assert mix.n_channels == 2
         assert mix.n_samples == 12800
 
+    def test_simulate_comod_multitone(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"seed": 4, "duration_s": 0.5, "source_kind": "comod_multitone"}))
+        out = tmp_path / "scene"
+        assert cli.main(["simulate", "--spec", str(spec), "--out", str(out)]) == 0
+        doc = json.loads((out / "scene.json").read_text())
+        assert doc["source_kind"] == ["comod_multitone", "comod_multitone"]
+        # the dries are the package's sources, scaled by the power balance
+        for n in range(2):
+            dry = audio.read_wav(out / f"dry_{n}.wav").channel(0)
+            want = simulate.gen_subgaussian_source(8000, "comod_multitone", [4, 7001 + n])
+            ratio = dry / want.channel(0)
+            np.testing.assert_allclose(ratio, ratio[0], rtol=1e-6)
+
     def test_simulate_mixture_is_sum_of_images(self, scene_dir):
         mix = audio.read_wav(scene_dir / "mixture.wav")
         im0 = audio.read_wav(scene_dir / "image_0.wav")
@@ -304,6 +318,11 @@ class TestPipeline:
         assert rc == 0
         for name in ("source_0.wav", "source_1.wav", "state.json", "trace.csv"):
             assert (out / name).exists()
+        assert sorted(p.name for p in out.glob("source_*.wav")) == ["source_0.wav", "source_1.wav"]
+        mix = audio.read_wav(scene_dir / "mixture.wav")
+        for n in range(2):
+            wav = audio.read_wav(out / f"source_{n}.wav")
+            assert (wav.n_samples, wav.n_channels) == (mix.n_samples, 2)
 
         trace = objective.CostTrace.read_csv(out / "trace.csv")
         assert trace.iterations == [1, 2]
@@ -312,6 +331,12 @@ class TestPipeline:
 
         state = model.load_state(out / "state.json")
         assert state.hyper.n_bases == 4
+        # each file holds its source's synthesized image, float32-rounded
+        X = audio.stft(mix, helpers.stft_16k())
+        for n, image in enumerate(separate.wiener_separate(state, X).spectra):
+            want = audio.istft(image, helpers.stft_16k(), mix.n_samples).data
+            got = audio.read_wav(out / f"source_{n}.wav").data
+            np.testing.assert_array_equal(got, want.astype(np.float32))
 
         eval_doc = {
             "estimates": [str(out / "source_0.wav"), str(out / "source_1.wav")],
@@ -347,6 +372,26 @@ class TestPipeline:
         s0 = audio.read_wav(out / "source_0.wav")
         mix = audio.read_wav(scene_dir / "mixture.wav")
         assert s0.n_samples == mix.n_samples
+
+    def test_separate_peak_memory_bound(self, tmp_path):
+        # at 513 bins x 128 frames x 2 channels the optimizer's working
+        # set and the Wiener filter each peak near 4.7x X.nbytes; keeping
+        # every source's spectrum and waveform and the mixture's samples
+        # until the last write took 5.6x
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"seed": 0, "duration_s": 2.0}))
+        scene = tmp_path / "scene"
+        assert cli.main(["simulate", "--spec", str(spec), "--out", str(scene)]) == 0
+        run_path = tmp_path / "run.json"
+        run_path.write_text(json.dumps({
+            "iterations": 3,
+            "paths": {"mixture": str(scene / "mixture.wav"), "out": str(tmp_path / "out")},
+        }))
+        X = audio.stft(audio.read_wav(scene / "mixture.wav"), helpers.stft_16k())
+        assert X.shape == (513, 128, 2)
+        rc, peak = helpers.traced_peak(cli.main, ["separate", "--config", str(run_path)])
+        assert rc == 0
+        assert peak <= 5.0 * X.nbytes
 
     def test_trace_suppressed_when_disabled(self, scene_dir, tmp_path):
         out = tmp_path / "sep_notrace"

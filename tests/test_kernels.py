@@ -103,6 +103,23 @@ def test_channel_sum_is_exact(n_ch):
         assert np.array_equal(got, y.sum(axis=-1))
 
 
+@pytest.mark.parametrize("expo", [1.0, 2.0, 0.5, -1.0, 1.5, -0.5, 0.7])
+def test_power_is_np_power_bit_for_bit(expo):
+    # 1e-12 .. 1e12 plus zero, subnormals and the top of the range, in
+    # place and out of place; the under- and overflows warn as np.power's do
+    rng = np.random.default_rng(300)
+    x = np.concatenate([10.0 ** rng.uniform(-12, 12, 10**6),
+                        [0.0, -0.0, 5e-324, 1e-310, 2.2e-308, 1.0, 1.7e308]])
+    with np.errstate(over="ignore", divide="ignore"):
+        want = np.power(x, expo)
+        got = model._power(x, expo, np.empty_like(x))
+        inplace = x.copy()
+        model._power(inplace, expo, inplace)
+    for arr in (got, inplace):
+        assert np.array_equal(arr, want)
+        assert np.array_equal(np.signbit(arr), np.signbit(want))
+
+
 @pytest.mark.parametrize("n_ch,n_src,n_bases", SHAPES)
 def test_gain_psd_and_projections(n_ch, n_src, n_bases):
     st, X = _state(210, n_ch, n_src, n_bases)

@@ -245,8 +245,15 @@ class TestPersistence:
             (lambda doc: {k: v for k, v in doc.items() if k != "arrays"}, "or 'arrays'"),
             (lambda doc: {**doc, "arrays": {k: v for k, v in doc["arrays"].items() if k != "g"}},
              "lacks array 'g'"),
+            (lambda doc: {**doc, "hyper": {**doc["hyper"], "gamma": 1.0}}, "'gamma'"),
+            (lambda doc: {**doc, "arrays": {**doc["arrays"], "t": [1.0, 2.0]}},
+             "array 't' is not an object"),
+            (lambda doc: {**doc, "arrays": {**doc["arrays"], "q": {**doc["arrays"]["q"],
+                                                                  "shape": [3, 3]}}},
+             "array 'q'"),
         ],
-        ids=["wrong_tag", "not_object", "version_99", "no_hyper", "no_arrays", "no_array_g"],
+        ids=["wrong_tag", "not_object", "version_99", "no_hyper", "no_arrays", "no_array_g",
+             "unknown_hyper_key", "array_not_object", "shape_disagrees"],
     )
     def test_rejects_wrong_format_tag(self, tmp_path, edit, msg):
         rng = np.random.default_rng(23)

@@ -1,4 +1,4 @@
-"""Wiener reconstruction: conservation, oracle agreement, file output."""
+"""Wiener reconstruction: conservation, oracle agreement, synthesis."""
 
 import numpy as np
 import pytest
@@ -85,7 +85,7 @@ class TestWienerSeparate:
 
 
 class TestWaveformOutput:
-    def test_to_waveforms_round_trip_identity_model(self):
+    def test_round_trip_identity_model(self):
         # with N=1 the single estimate is the observation itself, so the
         # synthesis must return the original time signal
         rng = np.random.default_rng(211)
@@ -96,20 +96,6 @@ class TestWaveformOutput:
             rng, n_bins=X.shape[0], n_frames=X.shape[1], n_channels=2, n_sources=1
         )
         sep = separate.wiener_separate(st, X)
-        waves = separate.to_waveforms(sep, cfg, 3000)
+        waves = [audio.istft(s, cfg, 3000) for s in sep.spectra]
         assert len(waves) == 1
         np.testing.assert_allclose(waves[0].data, wave.data, atol=1e-8)
-
-    def test_write_sources_files(self, tmp_path):
-        rng = np.random.default_rng(212)
-        spectra = np.zeros((2, 513, 4, 2), dtype=np.complex128)
-        sep = separate.SeparatedSources(spectra=spectra)
-        cfg = audio.StftConfig()
-        separate.to_waveforms(sep, cfg, 900)
-        paths = separate.write_sources(sep, tmp_path)
-        assert [p.endswith(f"source_{n}.wav") for n, p in enumerate(paths)] == [True, True]
-        for p in paths:
-            back = audio.read_wav(p)
-            assert back.n_samples == 900
-            assert back.n_channels == 2
-            np.testing.assert_array_equal(back.data, 0.0)
