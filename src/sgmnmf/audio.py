@@ -79,10 +79,21 @@ class StftConfig:
         )
 
 
-def _frame_count(padded_len, window, hop):
-    if padded_len <= window:
-        return 1
-    return int(np.ceil((padded_len - window) / hop)) + 1
+def _overlap_add(frames, hop):
+    """(J, W) frames added hop apart into one signal of (J - 1) * hop + W samples.
+
+    Each frame is cut into parts of hop samples, and part p of every
+    frame is added in one strided pass; the passes run last part first,
+    so each sample sums its frames in frame order, as a per-frame loop does.
+    """
+    n_frames, width = frames.shape
+    parts = -(-width // hop)
+    out = np.zeros((n_frames + parts - 1) * hop)
+    blocks = out.reshape(-1, hop)
+    for p in reversed(range(parts)):
+        part = frames[:, p * hop : (p + 1) * hop]
+        blocks[p : p + n_frames, : part.shape[1]] += part
+    return out[: (n_frames - 1) * hop + width]
 
 
 def stft(wave: Waveform, cfg: StftConfig) -> np.ndarray:
@@ -92,15 +103,13 @@ def stft(wave: Waveform, cfg: StftConfig) -> np.ndarray:
     win = cfg.window()
     length, n_ch = wave.data.shape
     edge = cfg.window_length - cfg.hop
-    padded_len = length + 2 * edge
-    n_frames = _frame_count(padded_len, cfg.window_length, cfg.hop)
+    n_frames = -(-(length + edge) // cfg.hop)
     total = (n_frames - 1) * cfg.hop + cfg.window_length
     out = np.empty((cfg.n_bins, n_frames, n_ch), dtype=np.complex128)
-    starts = np.arange(n_frames) * cfg.hop
     for m in range(n_ch):
         padded = np.zeros(total)
         padded[edge : edge + length] = wave.data[:, m]
-        frames = padded[starts[:, None] + np.arange(cfg.window_length)]
+        frames = np.lib.stride_tricks.sliding_window_view(padded, cfg.window_length)[:: cfg.hop]
         out[:, :, m] = np.fft.rfft(frames * win, axis=1).T
     return out
 
@@ -120,20 +129,14 @@ def istft(spec: np.ndarray, cfg: StftConfig, length: int, sample_rate: int = 160
         raise DimensionMismatchError(
             f"requested {length} samples but frames only cover {total - edge}"
         )
-    starts = np.arange(n_frames) * cfg.hop
     # per-sample normalization by the summed squared analysis window
-    denom = np.zeros(total)
-    wsq = win * win
-    for j in range(n_frames):
-        denom[starts[j] : starts[j] + cfg.window_length] += wsq
+    denom = _overlap_add(np.broadcast_to(win * win, (n_frames, cfg.window_length)), cfg.hop)
+    covered = denom > 0
     out = np.zeros((length, n_ch))
     for m in range(n_ch):
         frames = np.fft.irfft(spec[:, :, m].T, n=cfg.fft_length, axis=1)
         frames *= win
-        buf = np.zeros(total)
-        for j in range(n_frames):
-            buf[starts[j] : starts[j] + cfg.window_length] += frames[j]
-        covered = denom > 0
+        buf = _overlap_add(frames, cfg.hop)
         buf[covered] /= denom[covered]
         out[:, m] = buf[edge : edge + length]
     return Waveform(sample_rate, out)

@@ -176,27 +176,18 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "simulate":
             return cmd_simulate(args.spec, args.out)
         if args.command == "separate":
             if args.workers < 1:
                 raise SgmnmfError(f"--workers: must be >= 1, got {args.workers}")
-            cfg = config.parse_config(_load_json(args.config))
-            return cmd_separate(cfg)
-        if args.command == "evaluate":
-            cfg = config.parse_eval_config(_load_json(args.config))
-            return cmd_evaluate(cfg)
-        parser.error(f"unknown command {args.command!r}")
-    except SgmnmfError as exc:
+            return cmd_separate(config.parse_config(_load_json(args.config)))
+        return cmd_evaluate(config.parse_eval_config(_load_json(args.config)))
+    except (SgmnmfError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return 2
 
 
 if __name__ == "__main__":

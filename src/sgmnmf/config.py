@@ -1,10 +1,13 @@
 """JSON configuration documents for the three CLI workflows.
 
-Every parser rejects unknown keys and reports violations with the
-offending field path (e.g. "stft.hop_ms"); numbers must be finite.
-Field names and defaults come from the dataclasses that own them,
-model.Hyperparams and simulate.RoomSpec; the literals below are the
-defaults no dataclass owns (the Gaussian's beta, stft, trace, the
+The parsers check only a document's shape: unknown keys, types, and
+finite numbers, reported with the offending field path (e.g.
+"stft.hop_ms").  Ranges and cross-field rules belong to the dataclass
+that declares the field (model.Hyperparams, simulate.RoomSpec and the
+configs below); each raises ConfigError from __post_init__, so a
+document and a library constructor give the same message.  Field names
+and defaults come from those dataclasses too; the literals below are
+the defaults no dataclass owns (the Gaussian's beta, stft, trace, the
 scene's duration_s, source_kind and snr_db, and the eval document's).
 """
 
@@ -12,7 +15,7 @@ import math
 from dataclasses import asdict, dataclass, fields
 
 from .audio import StftConfig
-from .errors import ConfigError, DimensionMismatchError
+from .errors import ConfigError, DimensionMismatchError, check_min
 from .model import Hyperparams
 from .simulate import SOURCE_KINDS, RoomSpec
 
@@ -28,7 +31,7 @@ def _reject_unknown(doc, known, prefix=""):
             raise ConfigError(f"{prefix}{key}", "unknown field")
 
 
-def _get_number(doc, key, default, prefix="", minimum=None, strict_min=None):
+def _get_number(doc, key, default, prefix=""):
     val = doc.get(key, default)
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{prefix}{key}", f"expected a number, got {val!r}")
@@ -38,28 +41,20 @@ def _get_number(doc, key, default, prefix="", minimum=None, strict_min=None):
         val = math.inf if val > 0 else -math.inf
     if not math.isfinite(val):  # json reads NaN and Infinity
         raise ConfigError(f"{prefix}{key}", f"must be finite, got {val}")
-    if minimum is not None and val < minimum:
-        raise ConfigError(f"{prefix}{key}", f"must be >= {minimum}, got {val}")
-    if strict_min is not None and val <= strict_min:
-        raise ConfigError(f"{prefix}{key}", f"must be > {strict_min}, got {val}")
     return val
 
 
-def _get_int(doc, key, default, prefix="", minimum=None):
+def _get_int(doc, key, default, prefix=""):
     val = doc.get(key, default)
     if isinstance(val, bool) or not isinstance(val, int):
         raise ConfigError(f"{prefix}{key}", f"expected an integer, got {val!r}")
-    if minimum is not None and val < minimum:
-        raise ConfigError(f"{prefix}{key}", f"must be >= {minimum}, got {val}")
     return val
 
 
-def _get_str(doc, key, default, prefix="", choices=None):
+def _get_str(doc, key, default, prefix=""):
     val = doc.get(key, default)
     if val is not None and not isinstance(val, str):
         raise ConfigError(f"{prefix}{key}", f"expected a string, got {val!r}")
-    if choices is not None and val not in choices:
-        raise ConfigError(f"{prefix}{key}", f"must be one of {sorted(choices)}, got {val!r}")
     return val
 
 
@@ -68,6 +63,14 @@ def _get_bool(doc, key, default, prefix=""):
     if not isinstance(val, bool):
         raise ConfigError(f"{prefix}{key}", f"expected true/false, got {val!r}")
     return val
+
+
+def _get_section(doc, key, known):
+    section = doc.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(key, "expected an object")
+    _reject_unknown(section, known, prefix=f"{key}.")
+    return section
 
 
 @dataclass
@@ -84,6 +87,12 @@ class RunConfig:
     mixture: str
     out: str
     trace: bool
+
+    def __post_init__(self):
+        self.hyper()  # Hyperparams checks its seven fields
+        check_min(self, ("window_ms", "hop_ms"), 0, strict=True, prefix="stft.")
+        if self.hop_ms > self.window_ms:
+            raise ConfigError("stft.hop_ms", f"hop {self.hop_ms} exceeds window {self.window_ms}")
 
     def hyper(self) -> Hyperparams:
         return Hyperparams(**{name: getattr(self, name) for name in _HYPER})
@@ -106,40 +115,19 @@ def parse_config(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("", "top-level config must be a JSON object")
     _reject_unknown(doc, _HYPER.keys() | {"stft", "paths", "trace"})
-    algorithm = _get_str(
-        doc, "algorithm", _HYPER["algorithm"], choices={"subgaussian", "gaussian"}
-    )
-    default_beta = 2.0 if algorithm == "gaussian" else _HYPER["beta"]
-    beta = _get_number(doc, "beta", default_beta)
-    try:
-        Hyperparams(algorithm=algorithm, beta=beta)
-    except ValueError as exc:
-        raise ConfigError("beta", str(exc)) from exc
-
-    stft_doc = doc.get("stft", {})
-    if not isinstance(stft_doc, dict):
-        raise ConfigError("stft", "expected an object")
-    _reject_unknown(stft_doc, {"window_ms", "hop_ms"}, prefix="stft.")
-    window_ms = _get_number(stft_doc, "window_ms", 64.0, prefix="stft.", strict_min=0.0)
-    hop_ms = _get_number(stft_doc, "hop_ms", 16.0, prefix="stft.", strict_min=0.0)
-    if hop_ms > window_ms:
-        raise ConfigError("stft.hop_ms", f"hop {hop_ms} exceeds window {window_ms}")
-
-    paths_doc = doc.get("paths", {})
-    if not isinstance(paths_doc, dict):
-        raise ConfigError("paths", "expected an object")
-    _reject_unknown(paths_doc, {"mixture", "out"}, prefix="paths.")
-
+    stft_doc = _get_section(doc, "stft", {"window_ms", "hop_ms"})
+    paths_doc = _get_section(doc, "paths", {"mixture", "out"})
+    algorithm = _get_str(doc, "algorithm", _HYPER["algorithm"])
     return RunConfig(
         algorithm=algorithm,
-        beta=beta,
-        n_sources=_get_int(doc, "n_sources", _HYPER["n_sources"], minimum=1),
-        n_bases=_get_int(doc, "n_bases", _HYPER["n_bases"], minimum=1),
-        iterations=_get_int(doc, "iterations", _HYPER["iterations"], minimum=0),
-        seed=_get_int(doc, "seed", _HYPER["seed"], minimum=0),
-        window_ms=window_ms,
-        hop_ms=hop_ms,
-        floor_eps=_get_number(doc, "floor_eps", _HYPER["floor_eps"], strict_min=0.0),
+        beta=_get_number(doc, "beta", 2.0 if algorithm == "gaussian" else _HYPER["beta"]),
+        n_sources=_get_int(doc, "n_sources", _HYPER["n_sources"]),
+        n_bases=_get_int(doc, "n_bases", _HYPER["n_bases"]),
+        iterations=_get_int(doc, "iterations", _HYPER["iterations"]),
+        seed=_get_int(doc, "seed", _HYPER["seed"]),
+        window_ms=_get_number(stft_doc, "window_ms", 64.0, prefix="stft."),
+        hop_ms=_get_number(stft_doc, "hop_ms", 16.0, prefix="stft."),
+        floor_eps=_get_number(doc, "floor_eps", _HYPER["floor_eps"]),
         mixture=_get_str(paths_doc, "mixture", None, prefix="paths."),
         out=_get_str(paths_doc, "out", None, prefix="paths."),
         trace=_get_bool(doc, "trace", True),
@@ -152,6 +140,26 @@ class SceneConfig:
     duration_s: float
     source_kinds: list
     snr_db: float
+
+    def __post_init__(self):
+        n_sources = self.room.n_sources
+        if len(self.source_kinds) != n_sources:
+            raise ConfigError(
+                "source_kind", f"expected {n_sources} kinds, got {len(self.source_kinds)}"
+            )
+        for idx, kind in enumerate(self.source_kinds):
+            if kind not in SOURCE_KINDS:
+                raise ConfigError(f"source_kind[{idx}]", f"unknown kind {kind!r}")
+        check_min(self, ("duration_s",), 0, strict=True)
+        # mix balances the sources' powers at channel 1, so every source must
+        # reach it: a scene that ends before a direct path has a zero image
+        arrival = int(self.room.direct_delay[:, 0].max())
+        if self.n_samples <= arrival:
+            raise ConfigError(
+                "duration_s",
+                f"{self.duration_s} s is {self.n_samples} samples at {self.room.sample_rate} Hz, "
+                f"which ends before a direct path reaches channel 1 at sample {arrival}",
+            )
 
     @property
     def n_samples(self) -> int:
@@ -171,48 +179,30 @@ def parse_scene_config(doc: dict) -> SceneConfig:
     if not isinstance(doc, dict):
         raise ConfigError("", "top-level scene must be a JSON object")
     _reject_unknown(doc, _ROOM.keys() | {"duration_s", "source_kind", "snr_db"})
-    n_sources = _get_int(doc, "n_sources", _ROOM["n_sources"], minimum=1)
     try:
         room = RoomSpec(
-            n_sources=n_sources,
-            n_mics=_get_int(doc, "n_mics", _ROOM["n_mics"], minimum=1),
-            rt60=_get_number(doc, "rt60", _ROOM["rt60"], minimum=0.0),
+            n_sources=_get_int(doc, "n_sources", _ROOM["n_sources"]),
+            n_mics=_get_int(doc, "n_mics", _ROOM["n_mics"]),
+            rt60=_get_number(doc, "rt60", _ROOM["rt60"]),
             direct_delay=doc.get("direct_delay", _ROOM["direct_delay"]),
-            filter_length=_get_int(doc, "filter_length", _ROOM["filter_length"], minimum=1),
-            seed=_get_int(doc, "seed", _ROOM["seed"], minimum=0),
-            sample_rate=_get_int(doc, "sample_rate", _ROOM["sample_rate"], minimum=1),
-            tail_gain=_get_number(doc, "tail_gain", _ROOM["tail_gain"], minimum=0.0),
+            filter_length=_get_int(doc, "filter_length", _ROOM["filter_length"]),
+            seed=_get_int(doc, "seed", _ROOM["seed"]),
+            sample_rate=_get_int(doc, "sample_rate", _ROOM["sample_rate"]),
+            tail_gain=_get_number(doc, "tail_gain", _ROOM["tail_gain"]),
         )
-    except (ValueError, TypeError, DimensionMismatchError) as exc:
+    except DimensionMismatchError as exc:
         raise ConfigError("direct_delay", str(exc)) from exc
-
     kinds = doc.get("source_kind", "am_tone")
     if isinstance(kinds, str):
-        kinds = [kinds] * n_sources
-    if not isinstance(kinds, list) or len(kinds) != n_sources:
-        raise ConfigError(
-            "source_kind", f"expected a kind or a list of {n_sources} kinds"
-        )
-    for idx, kind in enumerate(kinds):
-        if kind not in SOURCE_KINDS:
-            raise ConfigError(f"source_kind[{idx}]", f"unknown kind {kind!r}")
-
-    scene = SceneConfig(
+        kinds = [kinds] * room.n_sources
+    if not isinstance(kinds, list):
+        raise ConfigError("source_kind", f"expected a kind or a list of kinds, got {kinds!r}")
+    return SceneConfig(
         room=room,
-        duration_s=_get_number(doc, "duration_s", 2.0, strict_min=0.0),
+        duration_s=_get_number(doc, "duration_s", 2.0),
         source_kinds=kinds,
         snr_db=_get_number(doc, "snr_db", 0.0),
     )
-    # mix balances the sources' powers at channel 1, so every source must
-    # reach it: a scene that ends before a direct path has a zero image
-    arrival = int(room.direct_delay[:, 0].max())
-    if scene.n_samples <= arrival:
-        raise ConfigError(
-            "duration_s",
-            f"{scene.duration_s} s is {scene.n_samples} samples at {room.sample_rate} Hz, "
-            f"which ends before a direct path reaches channel 1 at sample {arrival}",
-        )
-    return scene
 
 
 @dataclass
@@ -222,6 +212,14 @@ class EvalConfig:
     mixture: str
     ref_channel: int
     out: str
+
+    def __post_init__(self):
+        if len(self.estimates) != len(self.references):
+            raise ConfigError(
+                "references",
+                f"{len(self.references)} references vs {len(self.estimates)} estimates",
+            )
+        check_min(self, ("ref_channel",), 0)
 
 
 def parse_eval_config(doc: dict) -> EvalConfig:
@@ -235,11 +233,6 @@ def parse_eval_config(doc: dict) -> EvalConfig:
             isinstance(p, str) for p in val
         ):
             raise ConfigError(key, "expected a non-empty list of file paths")
-    if len(doc["estimates"]) != len(doc["references"]):
-        raise ConfigError(
-            "references",
-            f"{len(doc['references'])} references vs {len(doc['estimates'])} estimates",
-        )
     mixture = _get_str(doc, "mixture", None)
     if mixture is None:
         raise ConfigError("mixture", "required")
@@ -247,6 +240,6 @@ def parse_eval_config(doc: dict) -> EvalConfig:
         estimates=list(doc["estimates"]),
         references=list(doc["references"]),
         mixture=mixture,
-        ref_channel=_get_int(doc, "ref_channel", 0, minimum=0),
+        ref_channel=_get_int(doc, "ref_channel", 0),
         out=_get_str(doc, "out", "."),
     )

@@ -37,12 +37,21 @@ class NonFiniteError(SgmnmfError):
     """An input sample or a computed value is NaN/Inf."""
 
 
-class ConfigError(SgmnmfError):
-    """A configuration document is invalid; message names the field path."""
+class ConfigError(SgmnmfError, ValueError):
+    """A setting is invalid, in a document or a constructor; message names the field path."""
 
     def __init__(self, field, message):
         self.field = field
         super().__init__(f"{field}: {message}")
+
+
+def check_min(owner, names, minimum, strict=False, prefix=""):
+    """ConfigError naming the first of owner's fields below minimum (at or below it if strict)."""
+    for name in names:
+        val = getattr(owner, name)
+        if val < minimum or strict and val == minimum:
+            bound = ">" if strict else ">="
+            raise ConfigError(f"{prefix}{name}", f"must be {bound} {minimum}, got {val}")
 
 
 class ZeroReferenceError(SgmnmfError):

@@ -17,7 +17,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonFiniteError
+from .errors import ConfigError, DimensionMismatchError, NonFiniteError, check_min
+
+ALGORITHMS = ("subgaussian", "gaussian")
 
 
 @dataclass
@@ -31,18 +33,18 @@ class Hyperparams:
     algorithm: str = "subgaussian"
 
     def __post_init__(self):
-        if self.algorithm not in ("subgaussian", "gaussian"):
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        if self.algorithm not in ALGORITHMS:
+            raise ConfigError(
+                "algorithm", f"must be one of {sorted(ALGORITHMS)}, got {self.algorithm!r}"
+            )
         if self.algorithm == "subgaussian" and not (2.0 < self.beta <= 4.0):
-            raise ValueError(f"subgaussian path requires 2 < beta <= 4, got {self.beta}")
+            raise ConfigError("beta", f"subgaussian path requires 2 < beta <= 4, got {self.beta}")
         if self.algorithm == "gaussian" and self.beta != 2.0:
-            raise ValueError(f"gaussian path fixes beta = 2, got {self.beta}")
+            raise ConfigError("beta", f"gaussian path fixes beta = 2, got {self.beta}")
+        check_min(self, ("n_sources", "n_bases"), 1)
+        check_min(self, ("iterations", "seed"), 0)
         if not 0 < self.floor_eps < np.inf:
-            raise ValueError(f"floor_eps must be positive and finite, got {self.floor_eps}")
-        if self.n_sources < 1 or self.n_bases < 1:
-            raise ValueError("n_sources and n_bases must be at least 1")
-        if self.iterations < 0:
-            raise ValueError("iterations must be nonnegative")
+            raise ConfigError("floor_eps", f"must be positive and finite, got {self.floor_eps}")
 
 
 @dataclass
@@ -86,11 +88,8 @@ class SeparationState:
         q, g = self.spatial.Q, self.spatial.G
         if t.ndim != 2 or v.ndim != 2 or z.ndim != 2:
             raise DimensionMismatchError("T, V, Z must be 2-D")
+        _check_bases(t, v, z)
         i, k = t.shape
-        if v.shape[0] != k or z.shape[0] != k:
-            raise DimensionMismatchError(
-                f"basis counts disagree: T{t.shape} V{v.shape} Z{z.shape}"
-            )
         n = z.shape[1]
         if g.shape[:2] != (i, n):
             raise DimensionMismatchError(f"G shape {g.shape} != ({i}, {n}, M)")
@@ -298,11 +297,10 @@ def load_state(path) -> SeparationState:
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: checkpoint array {name!r}: {exc}") from exc
     try:
-        hyper = Hyperparams(**doc["hyper"])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: checkpoint 'hyper': {exc}") from exc
-    return SeparationState(
-        SourceModel(unpacked["t"], unpacked["v"], unpacked["z"]),
-        SpatialModel(unpacked["q"], unpacked["g"]),
-        hyper,
-    )
+        return SeparationState(
+            SourceModel(unpacked["t"], unpacked["v"], unpacked["z"]),
+            SpatialModel(unpacked["q"], unpacked["g"]),
+            Hyperparams(**doc["hyper"]),
+        )
+    except (TypeError, ValueError, DimensionMismatchError, NonFiniteError) as exc:
+        raise ValueError(f"{path}: invalid checkpoint: {exc}") from exc

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import Waveform
-from .errors import DimensionMismatchError, EmptyInputError
+from .errors import ConfigError, DimensionMismatchError, EmptyInputError, check_min
 
 LOG_1000 = 3.0 * np.log(10.0)
 SOURCE_KINDS = ("uniform_iid", "am_tone", "comod_multitone")
@@ -57,25 +57,25 @@ class RoomSpec:
     tail_gain: float = 0.05
 
     def __post_init__(self):
-        if self.n_sources < 1 or self.n_mics < 1:
-            raise ValueError("need at least one source and one mic")
-        if self.rt60 < 0:
-            raise ValueError("rt60 must be >= 0")
-        if self.filter_length < 1:
-            raise ValueError("filter_length must be >= 1")
+        check_min(self, ("n_sources", "n_mics", "filter_length", "sample_rate"), 1)
+        check_min(self, ("rt60", "tail_gain", "seed"), 0)
         if self.direct_delay is None:
             self.direct_delay = default_delays(self.n_sources, self.n_mics)
-        else:
-            self.direct_delay = np.asarray(self.direct_delay, dtype=np.int64)
-        if self.direct_delay.shape != (self.n_sources, self.n_mics):
+        # entries are checked as Python objects: an int64 cast would truncate
+        # 4.7, read true and "7" as numbers, and overflow on 1e30
+        delays = np.asarray(self.direct_delay, dtype=object)
+        if delays.shape != (self.n_sources, self.n_mics):
             raise DimensionMismatchError(
-                f"direct_delay shape {self.direct_delay.shape} != "
-                f"({self.n_sources}, {self.n_mics})"
+                f"direct_delay shape {delays.shape} != ({self.n_sources}, {self.n_mics})"
             )
-        if (self.direct_delay < 0).any() or (
-            self.direct_delay >= self.filter_length
-        ).any():
-            raise ValueError("delays must lie inside the filter")
+        for d in delays.flat:
+            if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
+                raise ConfigError("direct_delay", f"expected an integer, got {d!r}")
+            if not 0 <= d < self.filter_length:
+                raise ConfigError(
+                    "direct_delay", f"{d} lies outside the {self.filter_length}-tap filter"
+                )
+        self.direct_delay = delays.astype(np.int64)
 
 
 @dataclass

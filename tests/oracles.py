@@ -10,7 +10,9 @@ package, because no separation runs it:
   diagonal-domain filter the package's must equal bit for bit;
 - the Jensen/tangent surrogate of the nonnegative block and the
   auxiliary values at which it touches the cost;
-- the diagonalizer row system and the post-scale sums of the row update.
+- the diagonalizer row system and the post-scale sums of the row update;
+- the STFT and iSTFT as per-frame loops, which the package's strided
+  framing and overlap-add must equal bit for bit.
 """
 
 import math
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sgmnmf import linalg, model, optimizer
+from sgmnmf import audio, linalg, model, optimizer
 from sgmnmf.errors import NonFiniteError, SgmnmfError
 
 AUX_ATOL = 1e-8
@@ -241,3 +243,50 @@ def post_scale_sums(state: model.SeparationState, X: np.ndarray) -> np.ndarray:
 
     optimizer._q_rows(state, ws, on_phase=after_row)
     return sums
+
+
+# ---------------------------------------------------------------------------
+# the STFT as per-frame loops
+
+
+def stft_loop(wave: audio.Waveform, cfg: audio.StftConfig) -> np.ndarray:
+    """audio.stft with the frames gathered by an index matrix."""
+    win = cfg.window()
+    length, n_ch = wave.data.shape
+    edge = cfg.window_length - cfg.hop
+    padded_len = length + 2 * edge
+    if padded_len <= cfg.window_length:
+        n_frames = 1
+    else:
+        n_frames = int(np.ceil((padded_len - cfg.window_length) / cfg.hop)) + 1
+    total = (n_frames - 1) * cfg.hop + cfg.window_length
+    out = np.empty((cfg.n_bins, n_frames, n_ch), dtype=np.complex128)
+    starts = np.arange(n_frames) * cfg.hop
+    for m in range(n_ch):
+        padded = np.zeros(total)
+        padded[edge : edge + length] = wave.data[:, m]
+        frames = padded[starts[:, None] + np.arange(cfg.window_length)]
+        out[:, :, m] = np.fft.rfft(frames * win, axis=1).T
+    return out
+
+
+def istft_loop(spec: np.ndarray, cfg: audio.StftConfig, length: int) -> np.ndarray:
+    """audio.istft's (length, M) samples, overlap-added one frame at a time."""
+    n_frames, n_ch = spec.shape[1:]
+    win = cfg.window()
+    edge = cfg.window_length - cfg.hop
+    total = (n_frames - 1) * cfg.hop + cfg.window_length
+    starts = np.arange(n_frames) * cfg.hop
+    denom = np.zeros(total)
+    for j in range(n_frames):
+        denom[starts[j] : starts[j] + cfg.window_length] += win * win
+    out = np.zeros((length, n_ch))
+    for m in range(n_ch):
+        frames = np.fft.irfft(spec[:, :, m].T, n=cfg.fft_length, axis=1) * win
+        buf = np.zeros(total)
+        for j in range(n_frames):
+            buf[starts[j] : starts[j] + cfg.window_length] += frames[j]
+        covered = denom > 0
+        buf[covered] /= denom[covered]
+        out[:, m] = buf[edge : edge + length]
+    return out

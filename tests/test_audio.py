@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import helpers
+import oracles
 from sgmnmf import audio
 from sgmnmf.errors import (
     CorruptHeaderError,
@@ -17,6 +18,21 @@ from sgmnmf.errors import (
 
 
 class TestStftRoundTrip:
+    @pytest.mark.parametrize(
+        "window,hop,length",
+        [(1024, 256, 5000), (64, 24, 1000), (64, 64, 1000), (100, 7, 1000), (2822, 706, 9000),
+         (1024, 256, 1), (64, 24, 1), (100, 7, 1)],
+    )
+    def test_strided_framing_equals_the_frame_loop(self, window, hop, length):
+        # bit for bit: the passes keep each sample's sum in frame order
+        rng = np.random.default_rng(window + hop + length)
+        wave = audio.Waveform(16000, rng.standard_normal((length, 2)))
+        cfg = audio.StftConfig(window_length=window, hop=hop)
+        spec = audio.stft(wave, cfg)
+        assert np.array_equal(spec, oracles.stft_loop(wave, cfg))
+        back = audio.istft(spec, cfg, length).data
+        assert np.array_equal(back, oracles.istft_loop(spec, cfg, length))
+
     @pytest.mark.parametrize("length", [1, 100, 255, 256, 1023, 1024, 1025, 5000, 16000])
     def test_exact_reconstruction(self, length):
         rng = np.random.default_rng(length)

@@ -144,6 +144,12 @@ class TestSceneConfig:
         with pytest.raises(ConfigError):
             config.parse_scene_config({"direct_delay": [[0, 1]]})  # wrong shape
 
+    @pytest.mark.parametrize("delay", [4.7, True, "7", 1e30, 10**30])
+    def test_non_integer_or_huge_delay_names_the_field(self, delay):
+        # an int64 cast truncated 4.7, read true and "7" as numbers, and overflowed on 1e30
+        with pytest.raises(ConfigError, match=r"^direct_delay: "):
+            config.parse_scene_config({"direct_delay": [[delay, 5], [5, 7]]})
+
     def test_to_dict_is_json_ready(self):
         scene = config.parse_scene_config({"seed": 3})
         doc = scene.to_dict()
@@ -184,6 +190,13 @@ class TestSceneConfig:
             "source_kind",
             "snr_db",
         ]
+
+
+def test_config_error_is_a_value_error():
+    # library callers that catch ValueError from a constructor keep working
+    assert issubclass(ConfigError, ValueError)
+    with pytest.raises(ValueError, match=r"^seed: must be >= 0, got -1$"):
+        config.parse_config({"seed": -1})
 
 
 NAN, INF = float("nan"), float("inf")
@@ -465,6 +478,14 @@ class TestPipeline:
         out = tmp_path / "scene"
         assert cli.main(["simulate", "--spec", str(spec), "--out", str(out)]) == 1
         assert "error: duration_s: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fractional_delay_leaves_no_output_dir(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"direct_delay": [[4.5, 5], [5, 7]]}))
+        out = tmp_path / "scene"
+        assert cli.main(["simulate", "--spec", str(spec), "--out", str(out)]) == 1
+        assert "error: direct_delay: " in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["separate", "evaluate"])

@@ -1,6 +1,7 @@
 """Model containers: validation, seeding, derived quantities, persistence."""
 
 import json
+import math
 import re
 
 import numpy as np
@@ -47,6 +48,11 @@ class TestHyperparams:
     def test_positive_counts(self, kwargs):
         with pytest.raises(ValueError):
             model.Hyperparams(**kwargs)
+
+    def test_negative_seed_names_the_field(self):
+        # checked only by the run parser before; init_state then failed inside numpy
+        with pytest.raises(ValueError, match=r"^seed: must be >= 0, got -1$"):
+            model.Hyperparams(seed=-1)
 
 
 class TestInitState:
@@ -210,6 +216,16 @@ class TestSpectrogramCheck:
             fn(st, X)
 
 
+def _edit_array(name, edit):
+    """A checkpoint edit that updates the entries of array `name` with edit(array)."""
+
+    def apply(doc):
+        array = doc["arrays"][name]
+        return {**doc, "arrays": {**doc["arrays"], name: {**array, **edit(array)}}}
+
+    return apply
+
+
 class TestPersistence:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(21)
@@ -251,9 +267,13 @@ class TestPersistence:
             (lambda doc: {**doc, "arrays": {**doc["arrays"], "q": {**doc["arrays"]["q"],
                                                                   "shape": [3, 3]}}},
              "array 'q'"),
+            (_edit_array("t", lambda a: {"data": [-1.0] + a["data"][1:]}), "negative entries"),
+            (_edit_array("t", lambda a: {"shape": [len(a["data"]), 1]}), "basis counts disagree"),
+            (_edit_array("q", lambda a: {"real": [math.nan] + a["real"][1:]}), "Q contains NaN"),
         ],
         ids=["wrong_tag", "not_object", "version_99", "no_hyper", "no_arrays", "no_array_g",
-             "unknown_hyper_key", "array_not_object", "shape_disagrees"],
+             "unknown_hyper_key", "array_not_object", "shape_disagrees", "negative_t",
+             "basis_counts_disagree", "nan_in_q"],
     )
     def test_rejects_wrong_format_tag(self, tmp_path, edit, msg):
         rng = np.random.default_rng(23)

@@ -77,6 +77,11 @@ class TestRoomSpec:
         with pytest.raises(ValueError):
             simulate.RoomSpec(direct_delay=[[0, 1], [2, 9999]], filter_length=100)
 
+    @pytest.mark.parametrize("field,value", [("sample_rate", 0), ("seed", -1), ("tail_gain", -0.5)])
+    def test_range_error_names_the_field(self, field, value):
+        # each was checked only by the scene parser: sample_rate = 0 gave NaN filter taps
+        with pytest.raises(ValueError, match=f"^{field}: must be >= "):
+            simulate.RoomSpec(**{field: value})
 
 class TestSynthRir:
     def test_unit_direct_path_at_requested_delay(self):
