@@ -37,26 +37,25 @@ def _load_json(path):
 
 def cmd_simulate(spec_path, out_dir):
     scene = config.parse_scene_config(_load_json(spec_path))
-    room = scene.room
     dries = []
     source_seeds = []
-    for n in range(room.n_sources):
-        seed = [room.seed, 7001 + n]
+    for n in range(scene.n_sources):
+        seed = [scene.seed, 7001 + n]
         source_seeds.append(seed)
         dries.append(
             simulate.gen_subgaussian_source(
-                scene.n_samples, scene.source_kinds[n], seed, sample_rate=room.sample_rate
+                scene.n_samples, scene.source_kind[n], seed, sample_rate=scene.sample_rate
             )
         )
-    rirs = simulate.synth_rir(room)
+    rirs = simulate.synth_rir(scene)
     bundle = simulate.mix(dries, rirs, snr_db=scene.snr_db)
     os.makedirs(out_dir, exist_ok=True)
     audio.write_wav(os.path.join(out_dir, "mixture.wav"), bundle.mixture)
-    for n in range(room.n_sources):
+    for n in range(scene.n_sources):
         audio.write_wav(os.path.join(out_dir, f"image_{n}.wav"), bundle.images[n])
         audio.write_wav(os.path.join(out_dir, f"dry_{n}.wav"), bundle.dries[n])
     doc = scene.to_dict()
-    doc["derived_seeds"] = {"sources": source_seeds, "rir_root": room.seed}
+    doc["derived_seeds"] = {"sources": source_seeds, "rir_root": scene.seed}
     with open(os.path.join(out_dir, "scene.json"), "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

@@ -1,28 +1,27 @@
 """JSON configuration documents for the three CLI workflows.
 
-The parsers check only a document's shape: unknown keys, types, and
-finite numbers, reported with the offending field path (e.g.
+Each document is the dataclass that declares its fields: RunConfig is
+model.Hyperparams plus the STFT, paths and trace settings, SceneConfig
+is simulate.RoomSpec plus the scene's length, source kinds and power
+balance, and EvalConfig lists the files to score.  A parser reads each
+field with the reader for its declared type, defaulting to its declared
+default; the one default a parser writes itself is the Gaussian model's
+beta = 2.  The parsers check only a document's shape: unknown keys,
+types, and finite numbers, reported with the offending field path (e.g.
 "stft.hop_ms").  Ranges and cross-field rules belong to the dataclass
-that declares the field (model.Hyperparams, simulate.RoomSpec and the
-configs below); each raises ConfigError from __post_init__, so a
-document and a library constructor give the same message.  Field names
-and defaults come from those dataclasses too; the literals below are
-the defaults no dataclass owns (the Gaussian's beta, stft, trace, the
-scene's duration_s, source_kind and snr_db, and the eval document's).
+that declares the field; each raises ConfigError from __post_init__, so
+a document and a library constructor give the same message.
 """
 
 import math
 from dataclasses import asdict, dataclass, fields
 
+import numpy as np
+
 from .audio import StftConfig
 from .errors import ConfigError, DimensionMismatchError, check_min
 from .model import Hyperparams
 from .simulate import SOURCE_KINDS, RoomSpec
-
-
-# field name -> declared default
-_HYPER = {f.name: f.default for f in fields(Hyperparams)}
-_ROOM = {f.name: f.default for f in fields(RoomSpec)}
 
 
 def _reject_unknown(doc, known, prefix=""):
@@ -65,6 +64,22 @@ def _get_bool(doc, key, default, prefix=""):
     return val
 
 
+_READERS = {float: _get_number, int: _get_int, str: _get_str, bool: _get_bool}
+
+
+def _read_fields(cls, doc, names, prefix="", **defaults):
+    """{name: value} of cls's fields in names, each read by its declared type.
+
+    A field missing from doc takes defaults[name], else its declared
+    default.  A declared type without a reader is a KeyError.
+    """
+    return {
+        f.name: _READERS[f.type](doc, f.name, defaults.get(f.name, f.default), prefix)
+        for f in fields(cls)
+        if f.name in names
+    }
+
+
 def _get_section(doc, key, known):
     section = doc.get(key, {})
     if not isinstance(section, dict):
@@ -74,28 +89,22 @@ def _get_section(doc, key, known):
 
 
 @dataclass
-class RunConfig:
-    algorithm: str
-    beta: float
-    n_sources: int
-    n_bases: int
-    iterations: int
-    seed: int
-    window_ms: float
-    hop_ms: float
-    floor_eps: float
-    mixture: str
-    out: str
-    trace: bool
+class RunConfig(Hyperparams):
+    window_ms: float = 64.0
+    hop_ms: float = 16.0
+    mixture: str = None
+    out: str = None
+    trace: bool = True
 
     def __post_init__(self):
-        self.hyper()  # Hyperparams checks its seven fields
+        super().__post_init__()
         check_min(self, ("window_ms", "hop_ms"), 0, strict=True, prefix="stft.")
         if self.hop_ms > self.window_ms:
             raise ConfigError("stft.hop_ms", f"hop {self.hop_ms} exceeds window {self.window_ms}")
 
     def hyper(self) -> Hyperparams:
-        return Hyperparams(**{name: getattr(self, name) for name in _HYPER})
+        """The Hyperparams fields alone, e.g. for init_state and state.json."""
+        return Hyperparams(**{f.name: getattr(self, f.name) for f in fields(Hyperparams)})
 
     def stft_config(self, sample_rate: int) -> StftConfig:
         for name in ("window_ms", "hop_ms"):
@@ -110,110 +119,98 @@ class RunConfig:
         return StftConfig.from_ms(self.window_ms, self.hop_ms, sample_rate)
 
 
+# run document section -> the RunConfig fields it holds
+_RUN_SECTIONS = {"stft": {"window_ms", "hop_ms"}, "paths": {"mixture", "out"}}
+
+
 def parse_config(doc: dict) -> RunConfig:
     """Separation run document -> RunConfig, all fields defaulted."""
     if not isinstance(doc, dict):
         raise ConfigError("", "top-level config must be a JSON object")
-    _reject_unknown(doc, _HYPER.keys() | {"stft", "paths", "trace"})
-    stft_doc = _get_section(doc, "stft", {"window_ms", "hop_ms"})
-    paths_doc = _get_section(doc, "paths", {"mixture", "out"})
-    algorithm = _get_str(doc, "algorithm", _HYPER["algorithm"])
-    return RunConfig(
-        algorithm=algorithm,
-        beta=_get_number(doc, "beta", 2.0 if algorithm == "gaussian" else _HYPER["beta"]),
-        n_sources=_get_int(doc, "n_sources", _HYPER["n_sources"]),
-        n_bases=_get_int(doc, "n_bases", _HYPER["n_bases"]),
-        iterations=_get_int(doc, "iterations", _HYPER["iterations"]),
-        seed=_get_int(doc, "seed", _HYPER["seed"]),
-        window_ms=_get_number(stft_doc, "window_ms", 64.0, prefix="stft."),
-        hop_ms=_get_number(stft_doc, "hop_ms", 16.0, prefix="stft."),
-        floor_eps=_get_number(doc, "floor_eps", _HYPER["floor_eps"]),
-        mixture=_get_str(paths_doc, "mixture", None, prefix="paths."),
-        out=_get_str(paths_doc, "out", None, prefix="paths."),
-        trace=_get_bool(doc, "trace", True),
-    )
+    top = {f.name for f in fields(RunConfig)}.difference(*_RUN_SECTIONS.values())
+    _reject_unknown(doc, top | _RUN_SECTIONS.keys())
+    # the Gaussian model fixes beta = 2, so that is its default
+    gaussian = {"beta": 2.0} if doc.get("algorithm") == "gaussian" else {}
+    values = _read_fields(RunConfig, doc, top, **gaussian)
+    for key, names in _RUN_SECTIONS.items():
+        section = _get_section(doc, key, names)
+        values.update(_read_fields(RunConfig, section, names, prefix=f"{key}."))
+    return RunConfig(**values)
 
 
 @dataclass
-class SceneConfig:
-    room: RoomSpec
-    duration_s: float
-    source_kinds: list
-    snr_db: float
+class SceneConfig(RoomSpec):
+    duration_s: float = 2.0
+    source_kind: str = "am_tone"  # or one kind per source
+    snr_db: float = 0.0
 
     def __post_init__(self):
-        n_sources = self.room.n_sources
-        if len(self.source_kinds) != n_sources:
-            raise ConfigError(
-                "source_kind", f"expected {n_sources} kinds, got {len(self.source_kinds)}"
-            )
-        for idx, kind in enumerate(self.source_kinds):
+        super().__post_init__()
+        if isinstance(self.source_kind, str):
+            self.source_kind = [self.source_kind] * self.n_sources
+        kinds = self.source_kind
+        if not isinstance(kinds, list):
+            raise ConfigError("source_kind", f"expected a kind or a list of kinds, got {kinds!r}")
+        if len(kinds) != self.n_sources:
+            raise ConfigError("source_kind", f"expected {self.n_sources} kinds, got {len(kinds)}")
+        for idx, kind in enumerate(kinds):
             if kind not in SOURCE_KINDS:
                 raise ConfigError(f"source_kind[{idx}]", f"unknown kind {kind!r}")
         check_min(self, ("duration_s",), 0, strict=True)
+        # n_samples sizes arrays; dividing the bound by the rate, not multiplying,
+        # cannot overflow on an integer rate beyond the float range
+        if not self.duration_s < np.iinfo(np.intp).max / self.sample_rate:
+            raise ConfigError(
+                "duration_s",
+                f"{self.duration_s} s at {self.sample_rate} Hz is more samples than an array holds",
+            )
         # mix balances the sources' powers at channel 1, so every source must
         # reach it: a scene that ends before a direct path has a zero image
-        arrival = int(self.room.direct_delay[:, 0].max())
+        arrival = int(self.direct_delay[:, 0].max())
         if self.n_samples <= arrival:
             raise ConfigError(
                 "duration_s",
-                f"{self.duration_s} s is {self.n_samples} samples at {self.room.sample_rate} Hz, "
+                f"{self.duration_s} s is {self.n_samples} samples at {self.sample_rate} Hz, "
                 f"which ends before a direct path reaches channel 1 at sample {arrival}",
             )
 
     @property
     def n_samples(self) -> int:
-        return int(round(self.duration_s * self.room.sample_rate))
+        return int(round(self.duration_s * self.sample_rate))
 
     def to_dict(self):
-        doc = asdict(self.room)
-        doc["direct_delay"] = self.room.direct_delay.tolist()
-        doc["duration_s"] = self.duration_s
-        doc["source_kind"] = list(self.source_kinds)
-        doc["snr_db"] = self.snr_db
-        return doc
+        return {**asdict(self), "direct_delay": self.direct_delay.tolist()}
+
+
+# scene fields that take more than one shape; SceneConfig checks them
+_SCENE_RAW = ("direct_delay", "source_kind")
 
 
 def parse_scene_config(doc: dict) -> SceneConfig:
-    """Scene document -> RoomSpec plus source/duration settings."""
+    """Scene document -> SceneConfig, all fields defaulted."""
     if not isinstance(doc, dict):
         raise ConfigError("", "top-level scene must be a JSON object")
-    _reject_unknown(doc, _ROOM.keys() | {"duration_s", "source_kind", "snr_db"})
+    names = {f.name for f in fields(SceneConfig)}
+    _reject_unknown(doc, names)
+    values = _read_fields(SceneConfig, doc, names.difference(_SCENE_RAW))
+    values.update((key, doc[key]) for key in _SCENE_RAW if key in doc)
     try:
-        room = RoomSpec(
-            n_sources=_get_int(doc, "n_sources", _ROOM["n_sources"]),
-            n_mics=_get_int(doc, "n_mics", _ROOM["n_mics"]),
-            rt60=_get_number(doc, "rt60", _ROOM["rt60"]),
-            direct_delay=doc.get("direct_delay", _ROOM["direct_delay"]),
-            filter_length=_get_int(doc, "filter_length", _ROOM["filter_length"]),
-            seed=_get_int(doc, "seed", _ROOM["seed"]),
-            sample_rate=_get_int(doc, "sample_rate", _ROOM["sample_rate"]),
-            tail_gain=_get_number(doc, "tail_gain", _ROOM["tail_gain"]),
-        )
+        return SceneConfig(**values)
     except DimensionMismatchError as exc:
         raise ConfigError("direct_delay", str(exc)) from exc
-    kinds = doc.get("source_kind", "am_tone")
-    if isinstance(kinds, str):
-        kinds = [kinds] * room.n_sources
-    if not isinstance(kinds, list):
-        raise ConfigError("source_kind", f"expected a kind or a list of kinds, got {kinds!r}")
-    return SceneConfig(
-        room=room,
-        duration_s=_get_number(doc, "duration_s", 2.0),
-        source_kinds=kinds,
-        snr_db=_get_number(doc, "snr_db", 0.0),
-    )
 
 
 @dataclass
 class EvalConfig:
     estimates: list
     references: list
-    mixture: str
-    ref_channel: int
-    out: str
+    mixture: str = None
+    ref_channel: int = 0
+    out: str = "."
 
     def __post_init__(self):
+        if self.mixture is None:
+            raise ConfigError("mixture", "required")
         if len(self.estimates) != len(self.references):
             raise ConfigError(
                 "references",
@@ -233,13 +230,8 @@ def parse_eval_config(doc: dict) -> EvalConfig:
             isinstance(p, str) for p in val
         ):
             raise ConfigError(key, "expected a non-empty list of file paths")
-    mixture = _get_str(doc, "mixture", None)
-    if mixture is None:
-        raise ConfigError("mixture", "required")
     return EvalConfig(
         estimates=list(doc["estimates"]),
         references=list(doc["references"]),
-        mixture=mixture,
-        ref_channel=_get_int(doc, "ref_channel", 0),
-        out=_get_str(doc, "out", "."),
+        **_read_fields(EvalConfig, doc, {"mixture", "ref_channel", "out"}),
     )

@@ -1,5 +1,6 @@
 """Config documents and the simulate/separate/evaluate pipeline."""
 
+import dataclasses
 import json
 import os
 import re
@@ -100,6 +101,20 @@ class TestRunConfig:
         assert config.parse_config(doc) == config.parse_config({})
         gaussian = {"algorithm": "gaussian"}
         assert config.parse_config({**gaussian, "beta": 2.0}) == config.parse_config(gaussian)
+        # every field is read: each set away from its default parses to that value
+        values = {
+            "beta": 2.0, "n_sources": 3, "n_bases": 7, "iterations": 5, "floor_eps": 1e-9,
+            "seed": 4, "algorithm": "gaussian", "window_ms": 32.0, "hop_ms": 8.0,
+            "mixture": "m.wav", "out": "o", "trace": False,
+        }
+        assert all(values[f.name] != f.default for f in dataclasses.fields(config.RunConfig))
+        stft = {key: values[key] for key in ("window_ms", "hop_ms")}
+        paths = {key: values[key] for key in ("mixture", "out")}
+        top = {key: val for key, val in values.items() if key not in {*stft, *paths}}
+        doc = {**top, "stft": stft, "paths": paths}
+        assert dataclasses.asdict(config.parse_config(doc)) == values
+        subgaussian = {**doc, "algorithm": "subgaussian", "beta": 3.0}
+        assert config.parse_config(subgaussian).beta == 3.0
 
     def test_hyper_mirrors_fields(self):
         cfg = config.parse_config({"beta": 3.0, "n_bases": 7, "seed": 5})
@@ -108,23 +123,34 @@ class TestRunConfig:
         assert h.n_bases == 7
         assert h.seed == 5
 
+    def test_hyper_is_a_plain_hyperparams(self, tmp_path):
+        # a RunConfig is a Hyperparams: a state built from it directly would
+        # write window_ms and the other run fields into state.json
+        cfg = config.parse_config({"stft": {"window_ms": 32.0, "hop_ms": 8.0}, "trace": False})
+        hyper = cfg.hyper()
+        assert type(hyper) is model.Hyperparams
+        path = tmp_path / "state.json"
+        model.save_state(model.init_state(hyper, 5, 4, 2), path)
+        assert json.loads(path.read_text())["hyper"] == dataclasses.asdict(hyper)
+        assert model.load_state(path).hyper == hyper
+
 
 class TestSceneConfig:
     def test_defaults(self):
         scene = config.parse_scene_config({})
-        assert scene.room.n_sources == 2
-        assert scene.room.rt60 == 0.3
+        assert scene.n_sources == 2
+        assert scene.rt60 == 0.3
         assert scene.duration_s == 2.0
-        assert scene.source_kinds == ["am_tone", "am_tone"]
+        assert scene.source_kind == ["am_tone", "am_tone"]
         assert scene.snr_db == 0.0
 
     def test_kind_broadcast_and_list(self):
         scene = config.parse_scene_config({"source_kind": "uniform_iid"})
-        assert scene.source_kinds == ["uniform_iid", "uniform_iid"]
+        assert scene.source_kind == ["uniform_iid", "uniform_iid"]
         scene = config.parse_scene_config(
             {"source_kind": ["am_tone", "uniform_iid"]}
         )
-        assert scene.source_kinds == ["am_tone", "uniform_iid"]
+        assert scene.source_kind == ["am_tone", "uniform_iid"]
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError, match="source_kind"):
@@ -139,6 +165,22 @@ class TestSceneConfig:
         # the default delays reach channel 1 at samples 4 and 5
         with pytest.raises(ConfigError, match=rf"duration_s: .* {length} samples at 16000 Hz"):
             config.parse_scene_config({"duration_s": duration_s})
+
+    @pytest.mark.parametrize(
+        "doc", [{"duration_s": 1e305}, {"sample_rate": 10**30}, {"sample_rate": 10**400}]
+    )
+    def test_unusable_sample_count_names_duration(self, doc):
+        # 1e305 s overflowed int(round(...)); 10**30 Hz failed inside np.arange
+        with pytest.raises(ConfigError, match=r"^duration_s: .* more samples than an array holds"):
+            config.parse_scene_config(doc)
+
+    def test_library_scene_is_a_document(self):
+        # the constructor broadcasts a single kind and checks what the parser checks
+        scene = config.SceneConfig(source_kind="uniform_iid")
+        assert scene.source_kind == ["uniform_iid", "uniform_iid"]
+        assert scene.to_dict() == config.parse_scene_config({"source_kind": "uniform_iid"}).to_dict()
+        with pytest.raises(ConfigError, match=r"^duration_s: "):
+            config.SceneConfig(duration_s=float("nan"))
 
     def test_bad_delays_become_config_error(self):
         with pytest.raises(ConfigError):
@@ -174,6 +216,22 @@ class TestSceneConfig:
             "snr_db": 0.0,
         }
         assert config.parse_scene_config(doc).to_dict() == config.parse_scene_config({}).to_dict()
+        # every field is read: each set away from its default parses to that value
+        values = {
+            "n_sources": 3,
+            "n_mics": 3,
+            "rt60": 0.5,
+            "direct_delay": [[1, 2, 3], [2, 3, 4], [3, 4, 5]],
+            "filter_length": 1000,
+            "seed": 9,
+            "sample_rate": 8000,
+            "tail_gain": 0.1,
+            "duration_s": 1.5,
+            "source_kind": ["uniform_iid", "comod_multitone", "am_tone"],
+            "snr_db": 3.0,
+        }
+        assert all(values[f.name] != f.default for f in dataclasses.fields(config.SceneConfig))
+        assert config.parse_scene_config(values).to_dict() == values
 
     def test_to_dict_key_order(self):
         # the layout of scene.json
@@ -240,6 +298,16 @@ class TestEvalConfig:
         doc = {"estimates": ["a.wav"], "references": ["b.wav"], "mixture": "m.wav"}
         full = {**doc, "ref_channel": 0, "out": "."}
         assert config.parse_eval_config(full) == config.parse_eval_config(doc)
+        # every field is read: each set away from its default parses to that value
+        values = {
+            "estimates": ["a.wav", "b.wav"],
+            "references": ["c.wav", "d.wav"],
+            "mixture": "n.wav",
+            "ref_channel": 1,
+            "out": "scores",
+        }
+        assert all(values[f.name] != f.default for f in dataclasses.fields(config.EvalConfig))
+        assert dataclasses.asdict(config.parse_eval_config(values)) == values
 
     def test_count_mismatch_rejected(self):
         with pytest.raises(ConfigError, match="references"):
@@ -471,7 +539,7 @@ class TestPipeline:
         assert message.get(kind, "error: ") in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("duration_s", [1e-6, 2 / 16000, float("inf"), float("nan")])
+    @pytest.mark.parametrize("duration_s", [1e-6, 2 / 16000, float("inf"), float("nan"), 1e305])
     def test_rejected_scene_leaves_no_output_dir(self, tmp_path, capsys, duration_s):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"duration_s": duration_s}))
