@@ -13,7 +13,7 @@ or frames is one matmul and each channel's (I, J) plane is contiguous.
 """
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -234,17 +234,6 @@ def projections(state: SeparationState, X: np.ndarray) -> np.ndarray:
 # checkpoints
 
 
-def _pack(arr):
-    arr = np.asarray(arr)
-    if np.iscomplexobj(arr):
-        return {
-            "shape": list(arr.shape),
-            "real": arr.real.ravel().tolist(),
-            "imag": arr.imag.ravel().tolist(),
-        }
-    return {"shape": list(arr.shape), "data": arr.ravel().tolist()}
-
-
 def _unpack(doc):
     shape = tuple(doc["shape"])
     if "real" in doc:
@@ -257,22 +246,56 @@ def _unpack(doc):
     return np.asarray(doc["data"], dtype=np.float64).reshape(shape)
 
 
+# values per write: a chunk's floats, their repr strings and the joined
+# text are all the writer holds at once
+_CHUNK = 1024
+
+
+def _write_values(fh, part):
+    """part's values in C order as a JSON array of repr floats, one chunk per write."""
+    flat = part.reshape(-1)
+    fh.write("[")
+    for start in range(0, flat.size, _CHUNK):
+        # an integer array writes as floats, which load the same
+        values = flat[start:start + _CHUNK].astype(np.float64, copy=False).tolist()
+        fh.write((", " if start else "") + ", ".join(map(float.__repr__, values)))
+    fh.write("]")
+
+
 def save_state(state: SeparationState, path):
-    doc = {
-        "format": "sgmnmf-state",
-        "version": 1,
-        "hyper": asdict(state.hyper),
-        "arrays": {
-            "t": _pack(state.source.T),
-            "v": _pack(state.source.V),
-            "z": _pack(state.source.Z),
-            "g": _pack(state.spatial.G),
-            "q": _pack(state.spatial.Q),
-        },
+    """Write state as an ``sgmnmf-state`` version 1 document, streamed as it is serialized.
+
+    The bytes equal ``json.dumps`` of the whole document, as earlier
+    versions wrote it: the header, then each array's ``shape`` and its
+    ``data`` (or ``real`` and ``imag``) as repr floats, -0.0 kept.  No
+    whole-state list of floats or whole-document string is built.
+    ``hyper`` holds the fields of `Hyperparams` only.  A NaN or Inf
+    entry raises NonFiniteError naming the array and its first bad flat
+    index, before the file is created.
+    """
+    arrays = {
+        "t": state.source.T,
+        "v": state.source.V,
+        "z": state.source.Z,
+        "g": state.spatial.G,
+        "q": state.spatial.Q,
     }
-    # json.dump streams through the pure-Python encoder; dumps uses the C one
+    for name, arr in arrays.items():
+        bad = np.flatnonzero(~np.isfinite(arr))
+        if bad.size:
+            raise NonFiniteError(f"state array {name!r} is NaN/Inf at flat index {bad[0]}")
+    hyper = {f.name: getattr(state.hyper, f.name) for f in fields(Hyperparams)}
+    head = json.dumps({"format": "sgmnmf-state", "version": 1, "hyper": hyper})
     with open(path, "w") as fh:
-        fh.write(json.dumps(doc))
+        fh.write(head[:-1] + ', "arrays": {')
+        for pos, (name, arr) in enumerate(arrays.items()):
+            parts = {"real": arr.real, "imag": arr.imag} if np.iscomplexobj(arr) else {"data": arr}
+            fh.write(f'{", " if pos else ""}"{name}": {{"shape": {json.dumps(list(arr.shape))}')
+            for key, part in parts.items():
+                fh.write(f', "{key}": ')
+                _write_values(fh, part)
+            fh.write("}")
+        fh.write("}}")
 
 
 def load_state(path) -> SeparationState:

@@ -12,11 +12,14 @@ package, because no separation runs it:
   auxiliary values at which it touches the cost;
 - the diagonalizer row system and the post-scale sums of the row update;
 - the STFT and iSTFT as per-frame loops, which the package's strided
-  framing and overlap-add must equal bit for bit.
+  framing and overlap-add must equal bit for bit;
+- the checkpoint as one ``json.dumps`` of the whole document, which
+  the package's streamed writer must equal byte for byte.
 """
 
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -290,3 +293,35 @@ def istft_loop(spec: np.ndarray, cfg: audio.StftConfig, length: int) -> np.ndarr
         buf[covered] /= denom[covered]
         out[:, m] = buf[edge : edge + length]
     return out
+
+
+# ---------------------------------------------------------------------------
+# the checkpoint writer
+
+
+def _pack(arr):
+    arr = np.asarray(arr)
+    if np.iscomplexobj(arr):
+        return {
+            "shape": list(arr.shape),
+            "real": arr.real.ravel().tolist(),
+            "imag": arr.imag.ravel().tolist(),
+        }
+    return {"shape": list(arr.shape), "data": arr.ravel().tolist()}
+
+
+def state_document(state: model.SeparationState) -> str:
+    """state.json as one json.dumps of the whole document, the bytes save_state streams."""
+    doc = {
+        "format": "sgmnmf-state",
+        "version": 1,
+        "hyper": asdict(state.hyper),
+        "arrays": {
+            "t": _pack(state.source.T),
+            "v": _pack(state.source.V),
+            "z": _pack(state.source.Z),
+            "g": _pack(state.spatial.G),
+            "q": _pack(state.spatial.Q),
+        },
+    }
+    return json.dumps(doc)

@@ -123,9 +123,17 @@ class TestRunConfig:
         assert h.n_bases == 7
         assert h.seed == 5
 
+    def test_state_from_run_config_round_trips(self, tmp_path):
+        # a RunConfig is a Hyperparams; save_state writes only the model's
+        # fields, not window_ms and the other run settings
+        cfg = config.parse_config({})
+        path = tmp_path / "state.json"
+        model.save_state(model.init_state(cfg, 5, 4, 2), path)
+        assert list(json.loads(path.read_text())["hyper"]) == [
+            f.name for f in dataclasses.fields(model.Hyperparams)]
+        assert model.load_state(path).hyper == cfg.hyper()
+
     def test_hyper_is_a_plain_hyperparams(self, tmp_path):
-        # a RunConfig is a Hyperparams: a state built from it directly would
-        # write window_ms and the other run fields into state.json
         cfg = config.parse_config({"stft": {"window_ms": 32.0, "hop_ms": 8.0}, "trace": False})
         hyper = cfg.hyper()
         assert type(hyper) is model.Hyperparams

@@ -252,6 +252,63 @@ class TestPersistence:
         assert first.read_bytes() == second.read_bytes()
 
     @pytest.mark.parametrize(
+        "n_bins,n_frames,n_bases,n_ch",
+        [
+            (5, 7, 3, 2),
+            # t ends exactly on a chunk boundary, then one entry past it
+            (model._CHUNK // 16, 16, 16, 2),
+            (model._CHUNK // 16 + 1, 16, 16, 3),
+            (513, 128, 20, 2),  # the operating point
+        ],
+    )
+    def test_bytes_equal_whole_document_dumps(self, tmp_path, n_bins, n_frames, n_bases, n_ch):
+        rng = np.random.default_rng(24)
+        st = helpers.random_state(rng, n_bins=n_bins, n_frames=n_frames, n_channels=n_ch,
+                                  n_sources=n_ch, n_bases=n_bases)
+        path = tmp_path / "state.json"
+        model.save_state(st, path)
+        assert path.read_text() == oracles.state_document(st)
+
+    def test_edge_values_bytes_equal_whole_document_dumps(self, tmp_path):
+        rng = np.random.default_rng(25)
+        st = helpers.random_state(rng, n_bins=4, n_frames=5, n_channels=2)
+        edges = [5e-324, 1e-310, 1.7e308, 1.0, 0.1]
+        st.source.T.flat[: len(edges)] = edges
+        st.spatial.G.flat[: len(edges)] = edges
+        st.spatial.Q.flat[:4] = [complex(0.5, -0.0), complex(-0.0, 1.7e308),
+                                 complex(-5e-324, 1e-310), complex(-1.7e308, -1e-310)]
+        path = tmp_path / "state.json"
+        model.save_state(st, path)
+        text = path.read_text()
+        assert text == oracles.state_document(st)
+        assert all(token in text for token in ["-0.0", "5e-324", "1e-310", "1.7e+308"])
+
+    @pytest.mark.parametrize("name,index,value", [
+        ("t", 0, math.nan), ("v", 7, math.inf), ("z", 4, -math.inf),
+        ("g", 11, math.nan), ("q", 3, complex(0.0, math.inf)), ("q", 9, complex(math.nan, 0.0)),
+    ])
+    def test_nonfinite_state_is_refused_before_the_file(self, tmp_path, name, index, value):
+        rng = np.random.default_rng(26)
+        st = helpers.random_state(rng, n_bins=4, n_frames=5, n_channels=2)
+        arrays = {"t": st.source.T, "v": st.source.V, "z": st.source.Z,
+                  "g": st.spatial.G, "q": st.spatial.Q}
+        arrays[name].flat[index] = value
+        arrays[name].flat[index + 1] = value  # only the first bad index is named
+        path = tmp_path / "state.json"
+        with pytest.raises(NonFiniteError, match=f"'{name}' is NaN/Inf at flat index {index}$"):
+            model.save_state(st, path)
+        assert not path.exists()
+
+    def test_save_peak_memory_bound(self, tmp_path):
+        # one json.dumps of the whole operating-point document peaks at
+        # 2.47 MiB; streaming it in chunks keeps about 0.14 MiB
+        rng = np.random.default_rng(27)
+        st = helpers.random_state(rng, n_bins=513, n_frames=128, n_channels=2, n_sources=2,
+                                  n_bases=20)
+        _, peak = helpers.traced_peak(model.save_state, st, tmp_path / "state.json")
+        assert peak <= 0.5 * 2**20
+
+    @pytest.mark.parametrize(
         "edit,msg",
         [
             (lambda doc: {"format": "something-else"}, "not a state checkpoint"),
