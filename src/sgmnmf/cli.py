@@ -2,7 +2,9 @@
 
 --workers is accepted for compatibility (a value below 1 is still an
 error) and ignored: the optimizer runs on one thread.  A rejected input
-leaves no output directory behind.  `separate` keeps the mixture's
+leaves no output directory behind, and running out of memory is an
+error line like any other.  `evaluate` requires every file to have the
+first reference's sample rate and length.  `separate` keeps the mixture's
 samples only while it checks and transforms them, and handles one
 source at a time after the Wiener filter: each source's image is
 synthesized and written before the next.
@@ -110,11 +112,10 @@ def _read_mixture(cfg: config.RunConfig):
 
 def cmd_separate(cfg: config.RunConfig):
     spec, stft_cfg, n_samples, sample_rate = _read_mixture(cfg)
+    state = model.init_state(cfg.hyper(), *spec.shape)
     # a rejected input leaves no directory; an unwritable one fails before the run
     out_dir = cfg.out if cfg.out is not None else "."
     os.makedirs(out_dir, exist_ok=True)
-
-    state = model.init_state(cfg.hyper(), *spec.shape)
     state, trace = optimizer.run(state, spec)
 
     # one source at a time: each waveform is written before the next is synthesized
@@ -134,12 +135,19 @@ def cmd_evaluate(cfg: config.EvalConfig):
     estimates = [audio.read_wav(p) for p in cfg.estimates]
     references = [audio.read_wav(p) for p in cfg.references]
     mixture = audio.read_wav(cfg.mixture)
+    first, first_path = references[0], cfg.references[0]
     for wav, path in zip(estimates + references + [mixture],
                          cfg.estimates + cfg.references + [cfg.mixture]):
         if cfg.ref_channel >= wav.n_channels:
             raise DimensionMismatchError(
                 f"{path}: has {wav.n_channels} channels, ref_channel={cfg.ref_channel}"
             )
+        for what, have, want in (("sample rate", wav.sample_rate, first.sample_rate),
+                                 ("length", wav.n_samples, first.n_samples)):
+            if have != want:
+                raise DimensionMismatchError(
+                    f"{path}: {what} {have} != {what} {want} of {first_path}"
+                )
     report = metrics.sdr_improvement(
         estimates, references, mixture, ref_channel=cfg.ref_channel
     )
@@ -186,6 +194,9 @@ def main(argv=None) -> int:
         return cmd_evaluate(config.parse_eval_config(_load_json(args.config)))
     except (SgmnmfError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

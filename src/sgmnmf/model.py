@@ -123,9 +123,21 @@ class SeparationState:
 
 
 def init_state(hyper: Hyperparams, n_bins: int, n_frames: int, n_channels: int) -> SeparationState:
-    """Seeded initialization: T, V, Z uniform on (0.1, 1); G all-ones; Q identity."""
-    rng = np.random.default_rng(hyper.seed)
+    """Seeded initialization: T, V, Z uniform on (0.1, 1); G all-ones; Q identity.
+
+    ConfigError names n_bases or n_sources when a state array would hold
+    more elements than np.intp indexes.
+    """
     i, j, k, n, m = n_bins, n_frames, hyper.n_bases, hyper.n_sources, n_channels
+    # the largest array each count sizes: T (I, K) or V (K, J) for K, G (I, N, M)
+    # for N, and Z (K, N) for the larger of the two
+    for name, count, size in (("n_bases", k, k * max(i, j, min(k, n))),
+                              ("n_sources", n, n * max(i * m, min(k, n)))):
+        if size > np.iinfo(np.intp).max:
+            raise ConfigError(
+                name, f"{count} makes a state array of {size} elements, more than an array holds"
+            )
+    rng = np.random.default_rng(hyper.seed)
     t = rng.uniform(0.1, 1.0, size=(i, k))
     v = rng.uniform(0.1, 1.0, size=(k, j))
     z = rng.uniform(0.1, 1.0, size=(k, n))

@@ -470,7 +470,6 @@ class IterationReport:
     iteration: int
     cost_before: float
     cost_after: float
-    phase_ms: dict
 
 
 def run(
@@ -484,10 +483,11 @@ def run(
 
     on_subupdate(name, state) fires after every sub-update ('t', 'v',
     'z', 'g', 'q_row_<m>', 'normalize'); on_iteration(report) after
-    each full iteration.  `workers` is accepted for compatibility and
-    ignored: the run is single-threaded.  X must match the state's
-    shape (model.check_spectrogram) and have only
-    finite entries (NonFiniteError naming the first bad one otherwise).
+    each full iteration.  The trace's ms is one clock per iteration,
+    callbacks included.  `workers` is accepted for compatibility and
+    ignored.  X must match the state's shape (model.check_spectrogram)
+    and have only finite entries (NonFiniteError naming the first bad
+    one otherwise).
     A NonFiniteError or SingularMatrixError raised by an iteration is
     re-raised as the same type, prefixed with "iteration N: ".
     """
@@ -505,29 +505,20 @@ def run(
     ws = _WorkingSet(X, state.spatial.Q)
     cost_before = _cost(state, ws)
     for it in range(1, iters + 1):
-        phase_ms = {}
         t0 = time.perf_counter()
         try:
             _sweep_tvzg(state, ws, on_subupdate)
-            t1 = time.perf_counter()
-            phase_ms["tvzg"] = (t1 - t0) * 1000.0
             _q_rows(state, ws, on_subupdate)
-            t2 = time.perf_counter()
-            phase_ms["q"] = (t2 - t1) * 1000.0
             normalize_and_rescale(state)
             if on_subupdate is not None:
                 on_subupdate("normalize", state)
-            t3 = time.perf_counter()
-            phase_ms["normalize"] = (t3 - t2) * 1000.0
             cost = _cost(state, ws)
-            phase_ms["cost"] = (time.perf_counter() - t3) * 1000.0
         except SingularMatrixError as exc:
             raise SingularMatrixError(f"iteration {it}: {exc}", exc.index) from exc
         except NonFiniteError as exc:
             raise NonFiniteError(f"iteration {it}: {exc}") from exc
-        ms = (time.perf_counter() - t0) * 1000.0
-        trace.append(it, cost, ms)
+        trace.append(it, cost, (time.perf_counter() - t0) * 1000.0)
         if on_iteration is not None:
-            on_iteration(IterationReport(it, cost_before, cost, phase_ms))
+            on_iteration(IterationReport(it, cost_before, cost))
         cost_before = cost
     return state, trace

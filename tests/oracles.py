@@ -92,8 +92,9 @@ def wiener_separate_fullrank(
 def wiener_separate_broadcast(state: model.SeparationState, X: np.ndarray) -> np.ndarray:
     """The diagonal-domain filter with every (I, J, N, M) intermediate at once.
 
-    One solve per Q_i against all (frame, source) right-hand sides; the
-    package filters one source at a time and must match this bit for bit.
+    One solve per Q_i against all (frame, source) right-hand sides packed
+    as the columns of one matrix; the package's blocked filter, which
+    broadcasts Q_i over the sources instead, must match this bit for bit.
     """
     n_bins, n_frames, n_ch = X.shape
     n_src = state.hyper.n_sources

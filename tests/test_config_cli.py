@@ -587,6 +587,8 @@ class TestPipeline:
             ("stft.hop_ms", {"stft": {"hop_ms": 0.01}}),
             ("stft.window_ms", {"stft": {"window_ms": 1e6}}),  # 16 M samples
             ("stft.window_ms", {"stft": {"window_ms": 1e308, "hop_ms": 1e308}}),
+            ("n_bases", {"n_bases": 10**20}),  # beyond any array dimension
+            ("n_sources", {"n_sources": 2**62}),  # G would hold over 2**63 entries
         ],
     )
     def test_rejected_config_leaves_no_output_dir(self, scene_dir, tmp_path, capsys, field, doc):
@@ -601,6 +603,39 @@ class TestPipeline:
         assert cli.main(["separate", "--config", str(run_path)]) == 1
         assert f"error: {field}: " in capsys.readouterr().err
         assert not out.exists()
+
+    def test_out_of_memory_leaves_no_output_dir(self, scene_dir, tmp_path, capsys, monkeypatch):
+        def init_state(*args):
+            raise MemoryError("Unable to allocate 146. TiB")
+
+        monkeypatch.setattr(model, "init_state", init_state)
+        out = tmp_path / "o"
+        run_path = tmp_path / "run.json"
+        run_path.write_text(json.dumps({"paths": {"mixture": str(scene_dir / "mixture.wav"),
+                                                  "out": str(out)}}))
+        assert cli.main(["separate", "--config", str(run_path)]) == 1
+        assert "error: out of memory: Unable to allocate 146. TiB" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["sample_rate", "length"])
+    def test_evaluate_rejects_a_mismatch_naming_the_file(self, scene_dir, tmp_path, capsys, kind):
+        # the mixture relabelled as 8 kHz, or a 0.5 s estimate against 0.8 s references
+        images = [scene_dir / "image_0.wav", scene_dir / "image_1.wav"]
+        mixture = scene_dir / "mixture.wav"
+        bad = tmp_path / "bad.wav"
+        if kind == "sample_rate":
+            audio.write_wav(bad, audio.Waveform(8000, audio.read_wav(mixture).data))
+            estimates, mixture, message = images, bad, "sample rate 8000 != sample rate 16000"
+        else:
+            audio.write_wav(bad, audio.Waveform(16000, audio.read_wav(images[1]).data[:8000]))
+            estimates, message = [images[0], bad], "length 8000 != length 12800"
+        doc = {"estimates": [str(p) for p in estimates], "references": [str(p) for p in images],
+               "mixture": str(mixture), "out": str(tmp_path / "o")}
+        doc_path = tmp_path / "eval.json"
+        doc_path.write_text(json.dumps(doc))
+        assert cli.main(["evaluate", "--config", str(doc_path)]) == 1
+        assert f"error: {bad}: {message} of {images[0]}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_config_file_is_an_error(self, tmp_path, capsys):
         rc = cli.main(["separate", "--config", str(tmp_path / "nope.json")])

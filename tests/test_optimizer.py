@@ -225,8 +225,6 @@ class TestRun:
             assert cur.cost_before == prev.cost_after
         for r in reports:
             assert r.cost_after <= r.cost_before + 1e-8 * abs(r.cost_before)
-            assert set(r.phase_ms) == {"tvzg", "q", "normalize", "cost"}
-            assert all(ms >= 0.0 for ms in r.phase_ms.values())
 
     def test_trace_matches_iteration_reports(self):
         rng = np.random.default_rng(143)

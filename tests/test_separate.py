@@ -31,12 +31,13 @@ class TestWienerSeparate:
             np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-10)
 
     @pytest.mark.parametrize(
-        "n_ch,n_src,n_bins", [(2, 2, 33), (3, 3, 33), (2, 2, 150)],
-        ids=["2-2", "3-3", "2-2-150bins"],
+        "n_ch,n_src,n_bins",
+        [(2, 2, 33), (3, 3, 33), (2, 2, 150), (2, 1, 33), (4, 3, 97)],
+        ids=["2-2", "3-3", "2-2-150bins", "2-1", "4-3-97bins"],
     )
     def test_equals_all_sources_at_once_filter(self, n_ch, n_src, n_bins):
-        # M = 2 takes the closed-form solve, M = 3 LAPACK; 150 bins make
-        # two full blocks and a partial one
+        # M = 2 takes the closed-form solve, M = 3 and 4 LAPACK; 150 bins
+        # make four full blocks and a partial one, 97 three and a partial one
         rng = np.random.default_rng(204)
         st = helpers.random_state(
             rng, n_bins=n_bins, n_frames=17, n_channels=n_ch, n_sources=n_src
