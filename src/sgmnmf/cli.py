@@ -27,18 +27,8 @@ from .errors import (
 )
 
 
-def _load_json(path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise SgmnmfError(f"{path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SgmnmfError(f"{path}: invalid JSON ({exc})") from exc
-
-
 def cmd_simulate(spec_path, out_dir):
-    scene = config.parse_scene_config(_load_json(spec_path))
+    scene = config.parse_scene_config(config.load_json(spec_path))
     dries = []
     source_seeds = []
     for n in range(scene.n_sources):
@@ -190,8 +180,8 @@ def main(argv=None) -> int:
         if args.command == "separate":
             if args.workers < 1:
                 raise SgmnmfError(f"--workers: must be >= 1, got {args.workers}")
-            return cmd_separate(config.parse_config(_load_json(args.config)))
-        return cmd_evaluate(config.parse_eval_config(_load_json(args.config)))
+            return cmd_separate(config.parse_config(config.load_json(args.config)))
+        return cmd_evaluate(config.parse_eval_config(config.load_json(args.config)))
     except (SgmnmfError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -3,16 +3,19 @@
 Each document is the dataclass that declares its fields: RunConfig is
 model.Hyperparams plus the STFT, paths and trace settings, SceneConfig
 is simulate.RoomSpec plus the scene's length, source kinds and power
-balance, and EvalConfig lists the files to score.  A parser reads each
-field with the reader for its declared type, defaulting to its declared
-default; the one default a parser writes itself is the Gaussian model's
-beta = 2.  The parsers check only a document's shape: unknown keys,
-types, and finite numbers, reported with the offending field path (e.g.
-"stft.hop_ms").  Ranges and cross-field rules belong to the dataclass
-that declares the field; each raises ConfigError from __post_init__, so
-a document and a library constructor give the same message.
+balance, and EvalConfig lists the files to score.  One reader,
+read_document, builds each of them, and a checkpoint's Hyperparams:
+it reads every key with the reader for its field's declared type, and
+a key the document leaves out takes the dataclass's own default.  It
+checks only a document's shape: unknown keys, types, and finite
+numbers, reported with the offending field path (e.g. "stft.hop_ms").
+Defaults that depend on another field, ranges and cross-field rules
+belong to the dataclass that declares the field; each raises
+ConfigError from __post_init__, so a document and a library
+constructor give the same message.  load_json reads a document's file.
 """
 
+import json
 import math
 from dataclasses import asdict, dataclass, fields
 
@@ -24,68 +27,83 @@ from .model import Hyperparams
 from .simulate import SOURCE_KINDS, RoomSpec
 
 
-def _reject_unknown(doc, known, prefix=""):
-    for key in doc:
-        if key not in known:
-            raise ConfigError(f"{prefix}{key}", "unknown field")
+def load_json(path):
+    """The JSON document in file path; ConfigError naming path if its bytes do not decode.
+
+    json.loads detects UTF-8 (with or without a byte order mark),
+    UTF-16 and UTF-32.  An OSError from reading the file passes through.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return json.loads(data)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ConfigError(path, f"invalid JSON ({exc})") from exc
 
 
-def _get_number(doc, key, default, prefix=""):
-    val = doc.get(key, default)
+def _number(val, path):
     if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{prefix}{key}", f"expected a number, got {val!r}")
+        raise ConfigError(path, f"expected a number, got {val!r}")
     try:
         val = float(val)
     except OverflowError:  # an integer beyond the float range
         val = math.inf if val > 0 else -math.inf
     if not math.isfinite(val):  # json reads NaN and Infinity
-        raise ConfigError(f"{prefix}{key}", f"must be finite, got {val}")
+        raise ConfigError(path, f"must be finite, got {val}")
     return val
 
 
-def _get_int(doc, key, default, prefix=""):
-    val = doc.get(key, default)
+def _integer(val, path):
     if isinstance(val, bool) or not isinstance(val, int):
-        raise ConfigError(f"{prefix}{key}", f"expected an integer, got {val!r}")
+        raise ConfigError(path, f"expected an integer, got {val!r}")
     return val
 
 
-def _get_str(doc, key, default, prefix=""):
-    val = doc.get(key, default)
+def _string(val, path):
     if val is not None and not isinstance(val, str):
-        raise ConfigError(f"{prefix}{key}", f"expected a string, got {val!r}")
+        raise ConfigError(path, f"expected a string, got {val!r}")
     return val
 
 
-def _get_bool(doc, key, default, prefix=""):
-    val = doc.get(key, default)
+def _boolean(val, path):
     if not isinstance(val, bool):
-        raise ConfigError(f"{prefix}{key}", f"expected true/false, got {val!r}")
+        raise ConfigError(path, f"expected true/false, got {val!r}")
     return val
 
 
-_READERS = {float: _get_number, int: _get_int, str: _get_str, bool: _get_bool}
+_READERS = {float: _number, int: _integer, str: _string, bool: _boolean}
 
 
-def _read_fields(cls, doc, names, prefix="", **defaults):
-    """{name: value} of cls's fields in names, each read by its declared type.
+def _entries(doc, prefix, known):
+    """{key: (field path, value)} of the JSON object doc, whose keys must be in known."""
+    if not isinstance(doc, dict):
+        raise ConfigError(prefix[:-1] or "document", "expected an object")
+    for key in doc:
+        if key not in known:
+            raise ConfigError(f"{prefix}{key}", "unknown field")
+    return {key: (f"{prefix}{key}", val) for key, val in doc.items()}
 
-    A field missing from doc takes defaults[name], else its declared
-    default.  A declared type without a reader is a KeyError.
+
+def read_document(cls, doc, **sections):
+    """The dataclass cls built from the JSON object doc.
+
+    Each keyword names a section of doc, an object holding the listed
+    fields; an error inside one names the field path, e.g. "stft.hop_ms".
+    Every key is read by the reader for its field's declared type, and a
+    type without one passes through for cls to check.  A field doc
+    leaves out takes cls's default.
     """
-    return {
-        f.name: _READERS[f.type](doc, f.name, defaults.get(f.name, f.default), prefix)
-        for f in fields(cls)
-        if f.name in names
-    }
-
-
-def _get_section(doc, key, known):
-    section = doc.get(key, {})
-    if not isinstance(section, dict):
-        raise ConfigError(key, "expected an object")
-    _reject_unknown(section, known, prefix=f"{key}.")
-    return section
+    types = {f.name: f.type for f in fields(cls)}
+    nested = {name for names in sections.values() for name in names}
+    entries = _entries(doc, "", types.keys() - nested | sections.keys())
+    for key, names in sections.items():
+        entries.pop(key, None)
+        entries.update(_entries(doc.get(key, {}), f"{key}.", names))
+    values = {}
+    for name, (path, val) in entries.items():
+        reader = _READERS.get(types[name])
+        values[name] = reader(val, path) if reader else val
+    return cls(**values)
 
 
 @dataclass
@@ -119,29 +137,15 @@ class RunConfig(Hyperparams):
         return StftConfig.from_ms(self.window_ms, self.hop_ms, sample_rate)
 
 
-# run document section -> the RunConfig fields it holds
-_RUN_SECTIONS = {"stft": {"window_ms", "hop_ms"}, "paths": {"mixture", "out"}}
-
-
 def parse_config(doc: dict) -> RunConfig:
-    """Separation run document -> RunConfig, all fields defaulted."""
-    if not isinstance(doc, dict):
-        raise ConfigError("", "top-level config must be a JSON object")
-    top = {f.name for f in fields(RunConfig)}.difference(*_RUN_SECTIONS.values())
-    _reject_unknown(doc, top | _RUN_SECTIONS.keys())
-    # the Gaussian model fixes beta = 2, so that is its default
-    gaussian = {"beta": 2.0} if doc.get("algorithm") == "gaussian" else {}
-    values = _read_fields(RunConfig, doc, top, **gaussian)
-    for key, names in _RUN_SECTIONS.items():
-        section = _get_section(doc, key, names)
-        values.update(_read_fields(RunConfig, section, names, prefix=f"{key}."))
-    return RunConfig(**values)
+    """Separation run document -> RunConfig."""
+    return read_document(RunConfig, doc, stft=("window_ms", "hop_ms"), paths=("mixture", "out"))
 
 
 @dataclass
 class SceneConfig(RoomSpec):
     duration_s: float = 2.0
-    source_kind: str = "am_tone"  # or one kind per source
+    source_kind: list = "am_tone"  # or one kind per source
     snr_db: float = 0.0
 
     def __post_init__(self):
@@ -182,33 +186,29 @@ class SceneConfig(RoomSpec):
         return {**asdict(self), "direct_delay": self.direct_delay.tolist()}
 
 
-# scene fields that take more than one shape; SceneConfig checks them
-_SCENE_RAW = ("direct_delay", "source_kind")
-
-
 def parse_scene_config(doc: dict) -> SceneConfig:
-    """Scene document -> SceneConfig, all fields defaulted."""
-    if not isinstance(doc, dict):
-        raise ConfigError("", "top-level scene must be a JSON object")
-    names = {f.name for f in fields(SceneConfig)}
-    _reject_unknown(doc, names)
-    values = _read_fields(SceneConfig, doc, names.difference(_SCENE_RAW))
-    values.update((key, doc[key]) for key in _SCENE_RAW if key in doc)
+    """Scene document -> SceneConfig."""
     try:
-        return SceneConfig(**values)
+        return read_document(SceneConfig, doc)
     except DimensionMismatchError as exc:
         raise ConfigError("direct_delay", str(exc)) from exc
 
 
 @dataclass
 class EvalConfig:
-    estimates: list
-    references: list
+    estimates: list = None
+    references: list = None
     mixture: str = None
     ref_channel: int = 0
     out: str = "."
 
     def __post_init__(self):
+        for name in ("estimates", "references"):
+            paths = getattr(self, name)
+            if not isinstance(paths, list) or not paths or not all(
+                isinstance(p, str) for p in paths
+            ):
+                raise ConfigError(name, "expected a non-empty list of file paths")
         if self.mixture is None:
             raise ConfigError("mixture", "required")
         if len(self.estimates) != len(self.references):
@@ -221,17 +221,4 @@ class EvalConfig:
 
 def parse_eval_config(doc: dict) -> EvalConfig:
     """Evaluation document -> file lists plus the scoring channel."""
-    if not isinstance(doc, dict):
-        raise ConfigError("", "top-level eval config must be a JSON object")
-    _reject_unknown(doc, {f.name for f in fields(EvalConfig)})
-    for key in ("estimates", "references"):
-        val = doc.get(key)
-        if not isinstance(val, list) or not val or not all(
-            isinstance(p, str) for p in val
-        ):
-            raise ConfigError(key, "expected a non-empty list of file paths")
-    return EvalConfig(
-        estimates=list(doc["estimates"]),
-        references=list(doc["references"]),
-        **_read_fields(EvalConfig, doc, {"mixture", "ref_channel", "out"}),
-    )
+    return read_document(EvalConfig, doc)

@@ -24,7 +24,7 @@ ALGORITHMS = ("subgaussian", "gaussian")
 
 @dataclass
 class Hyperparams:
-    beta: float = 4.0
+    beta: float = None  # 2.0 for the gaussian algorithm, else 4.0
     n_sources: int = 2
     n_bases: int = 20
     iterations: int = 200
@@ -37,6 +37,8 @@ class Hyperparams:
             raise ConfigError(
                 "algorithm", f"must be one of {sorted(ALGORITHMS)}, got {self.algorithm!r}"
             )
+        if self.beta is None:
+            self.beta = 2.0 if self.algorithm == "gaussian" else 4.0
         if self.algorithm == "subgaussian" and not (2.0 < self.beta <= 4.0):
             raise ConfigError("beta", f"subgaussian path requires 2 < beta <= 4, got {self.beta}")
         if self.algorithm == "gaussian" and self.beta != 2.0:
@@ -311,9 +313,15 @@ def save_state(state: SeparationState, path):
 
 
 def load_state(path) -> SeparationState:
-    """The state save_state wrote; ValueError naming the path if the file is not one."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    """The state save_state wrote; ValueError naming the path if the file is not one.
+
+    The file must decode as JSON; ``hyper`` is read like a run document
+    by config.read_document, so an unknown key or a value of the wrong
+    type is refused naming the field.
+    """
+    from .config import load_json, read_document  # config imports this module
+
+    doc = load_json(path)
     if not isinstance(doc, dict) or doc.get("format") != "sgmnmf-state":
         raise ValueError(f"{path}: not a state checkpoint")
     if doc.get("version") != 1:
@@ -335,7 +343,7 @@ def load_state(path) -> SeparationState:
         return SeparationState(
             SourceModel(unpacked["t"], unpacked["v"], unpacked["z"]),
             SpatialModel(unpacked["q"], unpacked["g"]),
-            Hyperparams(**doc["hyper"]),
+            read_document(Hyperparams, doc["hyper"]),
         )
     except (TypeError, ValueError, DimensionMismatchError, NonFiniteError) as exc:
         raise ValueError(f"{path}: invalid checkpoint: {exc}") from exc

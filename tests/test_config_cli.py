@@ -290,6 +290,51 @@ def test_non_finite_number_rejected(parse, doc, field):
         parse(doc)
 
 
+@pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "utf-32"])
+def test_document_encodings_are_read(tmp_path, encoding):
+    # utf-8-sig writes the byte order mark Windows Notepad adds
+    doc = {"iterations": 3, "paths": {"mixture": "m.wav"}}
+    path = tmp_path / "run.json"
+    path.write_bytes(json.dumps(doc).encode(encoding))
+    assert config.load_json(path) == doc
+
+
+# the section of each run field that is not at the top level
+SECTIONS = {"window_ms": "stft", "hop_ms": "stft", "mixture": "paths", "out": "paths"}
+# values of the wrong type for each declared type a reader checks
+WRONG_VALUES = {float: ["4.0", True], int: ["4", 2.5, True], str: [1], bool: ["yes"]}
+
+
+def _wrong_type_cases():
+    docs = {"run": config.RunConfig, "scene": config.SceneConfig, "eval": config.EvalConfig,
+            "checkpoint": model.Hyperparams}
+    for kind, cls in docs.items():
+        for f in dataclasses.fields(cls):
+            for value in WRONG_VALUES.get(f.type, []):
+                yield pytest.param(kind, f.name, value, id=f"{kind}-{f.name}-{value!r}")
+
+
+@pytest.mark.parametrize("kind,name,value", list(_wrong_type_cases()))
+def test_wrong_type_names_the_field(tmp_path, kind, name, value):
+    section = SECTIONS.get(name) if kind == "run" else None
+    field = f"{section}.{name}" if section else name
+    if kind == "checkpoint":
+        path = tmp_path / "state.json"
+        model.save_state(helpers.random_state(np.random.default_rng(0)), path)
+        doc = json.loads(path.read_text())
+        doc["hyper"][name] = value
+        path.write_text(json.dumps(doc))
+        message = rf"^{re.escape(str(path))}: invalid checkpoint: {field}: expected "
+        with pytest.raises(ValueError, match=message):
+            model.load_state(path)
+        return
+    parse = {"run": config.parse_config, "scene": config.parse_scene_config,
+             "eval": config.parse_eval_config}[kind]
+    doc = {section: {name: value}} if section else {name: value}
+    with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: expected "):
+        parse(doc)
+
+
 class TestEvalConfig:
     def test_minimal_document(self):
         cfg = config.parse_eval_config(
@@ -326,6 +371,14 @@ class TestEvalConfig:
                     "mixture": "m.wav",
                 }
             )
+
+    @pytest.mark.parametrize("estimates", ["a.wav", [], [1]])
+    def test_library_estimates_must_be_a_list_of_paths(self, estimates):
+        # the rule held only by the parser before: a string counted its
+        # characters against the references, and empty lists were accepted
+        with pytest.raises(ConfigError, match=r"^estimates: expected a non-empty list"):
+            config.EvalConfig(estimates=estimates, references=["b.wav"] * len(estimates),
+                              mixture="m.wav")
 
     def test_missing_mixture_rejected(self):
         with pytest.raises(ConfigError, match="mixture"):
@@ -648,6 +701,12 @@ class TestPipeline:
         rc = cli.main(["separate", "--config", str(bad)])
         assert rc == 1
         assert "invalid JSON" in capsys.readouterr().err
+
+    def test_wav_as_config_is_an_error(self, scene_dir, capsys):
+        # its bytes are not UTF-8: a UnicodeDecodeError traceback before
+        rc = cli.main(["separate", "--config", str(scene_dir / "mixture.wav")])
+        assert rc == 1
+        assert re.search(r"^error: .*mixture\.wav: invalid JSON \(", capsys.readouterr().err)
 
     def test_reproducible_traces_across_runs(self, scene_dir, tmp_path):
         docs = []

@@ -9,7 +9,7 @@ import pytest
 
 import helpers
 import oracles
-from sgmnmf import model, objective, optimizer, separate
+from sgmnmf import config, model, objective, optimizer, separate
 from sgmnmf.errors import DimensionMismatchError, NonFiniteError
 
 
@@ -29,6 +29,12 @@ class TestHyperparams:
         model.Hyperparams(beta=2.0, algorithm="gaussian")
         with pytest.raises(ValueError):
             model.Hyperparams(beta=3.0, algorithm="gaussian")
+
+    def test_gaussian_defaults_beta_two(self):
+        # the Gaussian model is the generalized Gaussian at beta = 2
+        h = model.Hyperparams(algorithm="gaussian")
+        assert h.beta == 2.0
+        assert h == config.parse_config({"algorithm": "gaussian"}).hyper()
 
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError):
@@ -226,6 +232,11 @@ def _edit_array(name, edit):
     return apply
 
 
+def _edit_hyper(name, value):
+    """A checkpoint edit that sets hyper[name] to value."""
+    return lambda doc: {**doc, "hyper": {**doc["hyper"], name: value}}
+
+
 class TestPersistence:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(21)
@@ -299,6 +310,14 @@ class TestPersistence:
             model.save_state(st, path)
         assert not path.exists()
 
+    def test_truncated_file_names_the_path(self, tmp_path):
+        # json.load's bare JSONDecodeError named no file
+        path = tmp_path / "state.json"
+        model.save_state(helpers.random_state(np.random.default_rng(28)), path)
+        path.write_bytes(path.read_bytes()[:100])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: invalid JSON "):
+            model.load_state(path)
+
     def test_save_peak_memory_bound(self, tmp_path):
         # one json.dumps of the whole operating-point document peaks at
         # 2.47 MiB; streaming it in chunks keeps about 0.14 MiB
@@ -318,7 +337,12 @@ class TestPersistence:
             (lambda doc: {k: v for k, v in doc.items() if k != "arrays"}, "or 'arrays'"),
             (lambda doc: {**doc, "arrays": {k: v for k, v in doc["arrays"].items() if k != "g"}},
              "lacks array 'g'"),
-            (lambda doc: {**doc, "hyper": {**doc["hyper"], "gamma": 1.0}}, "'gamma'"),
+            (_edit_hyper("gamma", 1.0), "gamma: unknown field"),
+            # a value of the wrong type is refused, not left to fail inside the optimizer
+            (_edit_hyper("iterations", 2.5), "iterations: expected an integer, got 2.5"),
+            (_edit_hyper("seed", 1.5), "seed: expected an integer, got 1.5"),
+            (_edit_hyper("n_bases", 3.0), "n_bases: expected an integer, got 3.0"),
+            (_edit_hyper("floor_eps", True), "floor_eps: expected a number, got True"),
             (lambda doc: {**doc, "arrays": {**doc["arrays"], "t": [1.0, 2.0]}},
              "array 't' is not an object"),
             (lambda doc: {**doc, "arrays": {**doc["arrays"], "q": {**doc["arrays"]["q"],
@@ -329,7 +353,8 @@ class TestPersistence:
             (_edit_array("q", lambda a: {"real": [math.nan] + a["real"][1:]}), "Q contains NaN"),
         ],
         ids=["wrong_tag", "not_object", "version_99", "no_hyper", "no_arrays", "no_array_g",
-             "unknown_hyper_key", "array_not_object", "shape_disagrees", "negative_t",
+             "unknown_hyper_key", "float_iterations", "float_seed", "float_n_bases",
+             "bool_floor_eps", "array_not_object", "shape_disagrees", "negative_t",
              "basis_counts_disagree", "nan_in_q"],
     )
     def test_rejects_wrong_format_tag(self, tmp_path, edit, msg):
