@@ -16,8 +16,7 @@ from .model import (
     mixture_gain,
     save_state,
 )
-from .objective import CostTrace, cost_ggd_jd
-from .optimizer import IterationReport, normalize_and_rescale, run
+from .optimizer import CostTrace, IterationReport, run
 from .separate import SeparatedSources, wiener_separate
 from .simulate import MixtureBundle, RoomSpec, gen_subgaussian_source, mix, synth_rir
 
@@ -41,9 +40,7 @@ __all__ = [
     "mixture_gain",
     "save_state",
     "CostTrace",
-    "cost_ggd_jd",
     "IterationReport",
-    "normalize_and_rescale",
     "run",
     "SeparatedSources",
     "wiener_separate",

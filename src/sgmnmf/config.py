@@ -60,9 +60,13 @@ def _integer(val, path):
 
 
 def _string(val, path):
-    if val is not None and not isinstance(val, str):
+    if not isinstance(val, str):
         raise ConfigError(path, f"expected a string, got {val!r}")
     return val
+
+
+def _optional_string(val, path):
+    return val if val is None else _string(val, path)
 
 
 def _boolean(val, path):
@@ -90,18 +94,22 @@ def read_document(cls, doc, **sections):
     Each keyword names a section of doc, an object holding the listed
     fields; an error inside one names the field path, e.g. "stft.hop_ms".
     Every key is read by the reader for its field's declared type, and a
-    type without one passes through for cls to check.  A field doc
-    leaves out takes cls's default.
+    type without one passes through for cls to check; null is a string
+    only where the field's default is None.  A field doc leaves out
+    takes cls's default.
     """
-    types = {f.name: f.type for f in fields(cls)}
+    readers = {
+        f.name: _optional_string if f.type is str and f.default is None else _READERS.get(f.type)
+        for f in fields(cls)
+    }
     nested = {name for names in sections.values() for name in names}
-    entries = _entries(doc, "", types.keys() - nested | sections.keys())
+    entries = _entries(doc, "", readers.keys() - nested | sections.keys())
     for key, names in sections.items():
         entries.pop(key, None)
         entries.update(_entries(doc.get(key, {}), f"{key}.", names))
     values = {}
     for name, (path, val) in entries.items():
-        reader = _READERS.get(types[name])
+        reader = readers[name]
         values[name] = reader(val, path) if reader else val
     return cls(**values)
 

@@ -238,12 +238,6 @@ def mixture_gain(state: SeparationState) -> np.ndarray:
     return chi.transpose(1, 2, 0)
 
 
-def projections(state: SeparationState, X: np.ndarray) -> np.ndarray:
-    """p_ijm = q_im^H x_ij (row m of Q_i applied to x_ij), shape (I, J, M)."""
-    check_spectrogram(state, X)
-    return (state.spatial.Q @ X.transpose(0, 2, 1)).transpose(0, 2, 1)
-
-
 # ---------------------------------------------------------------------------
 # checkpoints
 

@@ -24,14 +24,20 @@ Arrays over (bin, channel, frame) use model's channel-leading layout
 (M, I, J), so every channel's (bin, frame) plane is one contiguous
 operand.  The optimizer runs on the calling thread: each row of the
 diagonalizer sweep is one pass over the active bins.
+
+The objective is evaluated here alone (_cost), in the diagonal domain,
+and `run` records it per iteration in a CostTrace; the full-rank form
+and the update rules' surrogates are test oracles in tests/oracles.py.
 """
 
+import csv
+import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg, model, objective
+from . import linalg, model
 from .errors import NonFiniteError, SingularMatrixError
 
 # row projections are floored at this fraction of the frame scale inside
@@ -425,7 +431,7 @@ def _q_rows(state, ws, on_phase=None):
 # ---------------------------------------------------------------------------
 
 
-def normalize_and_rescale(state: model.SeparationState):
+def _normalize(state: model.SeparationState):
     """Push scale ambiguities into canonical positions; chi is unchanged.
 
     Per source: divide g by its grand mean over (bin, channel) and fold
@@ -452,17 +458,28 @@ def normalize_and_rescale(state: model.SeparationState):
 def _cost(state, ws):
     """The objective at the state from the projection powers ws.p2, (M, I, J).
 
+    -2J sum_i log|det Q_i| + sum_ijm log chi_ijm
+    + sum_ij (sum_m |p_ijm|^2 / chi_ijm)^{beta/2}
+
     Q is final for the iteration and the state is normalized, so the
     _chi_weights and y it leaves in ws are what the next t family
     would build (see _sweep_tvzg).  The gains chi are built after
     normalization, whose floor can change them; sum log chi is taken,
-    through ab[0], before chi is inverted in ab[1].
+    through ab[0], before chi is inverted in ab[1].  Errors are prefixed
+    with "cost", and a singular Q_i names its frequency bin.
     """
     chi = _gain(state, ws.ab[1])
     log_chi_sum = np.sum(np.log(chi, out=ws.ab[0]))
     _chi_weights(ws.p2, chi, ws.ab)
     y = model.sum_channels(ws.ab[0], ws.y)
-    return objective.jd_cost(state.spatial.Q, y, log_chi_sum, state.hyper.beta, ws.y_pow)
+    try:
+        det_term = -2.0 * y.shape[1] * np.sum(linalg.log_abs_det(state.spatial.Q))
+    except SingularMatrixError as exc:
+        raise SingularMatrixError(f"cost, frequency bin {exc.index}: {exc}", exc.index) from exc
+    val = det_term + log_chi_sum + np.sum(model._power(y, state.hyper.beta / 2.0, ws.y_pow))
+    if not math.isfinite(val):
+        raise NonFiniteError("cost: objective evaluated to NaN/Inf")
+    return float(val)
 
 
 @dataclass
@@ -470,6 +487,34 @@ class IterationReport:
     iteration: int
     cost_before: float
     cost_after: float
+
+
+@dataclass
+class TracePoint:
+    iteration: int
+    cost: float
+    ms: float = 0.0
+
+
+@dataclass
+class CostTrace:
+    """The cost after each iteration of a run; write_csv writes trace.csv."""
+
+    points: list = field(default_factory=list)
+
+    def append(self, iteration: int, cost: float, ms: float = 0.0):
+        if self.points and iteration <= self.points[-1].iteration:
+            raise ValueError(
+                f"iterations must increase: {iteration} after {self.points[-1].iteration}"
+            )
+        self.points.append(TracePoint(int(iteration), float(cost), float(ms)))
+
+    def write_csv(self, path):
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["iteration", "cost", "ms"])
+            for p in self.points:
+                writer.writerow([p.iteration, repr(p.cost), f"{p.ms:.3f}"])
 
 
 def run(
@@ -489,7 +534,8 @@ def run(
     and have only finite entries (NonFiniteError naming the first bad
     one otherwise).
     A NonFiniteError or SingularMatrixError raised by an iteration is
-    re-raised as the same type, prefixed with "iteration N: ".
+    re-raised as the same type, prefixed with "iteration N: ", where
+    iteration 0 is the cost of the initial state.
     """
     model.check_spectrogram(state, X)
     # the (I, J, M) mask lives only for the check, not through the run
@@ -498,27 +544,28 @@ def run(
         raise NonFiniteError(
             f"spectrogram contains NaN/Inf at frequency bin {i}, frame {j}, channel {m}"
         )
-    trace = objective.CostTrace()
+    trace = CostTrace()
     iters = state.hyper.iterations
     if iters == 0:
         return state, trace
     ws = _WorkingSet(X, state.spatial.Q)
-    cost_before = _cost(state, ws)
-    for it in range(1, iters + 1):
-        t0 = time.perf_counter()
-        try:
+    it = 0
+    try:
+        cost_before = _cost(state, ws)
+        for it in range(1, iters + 1):
+            t0 = time.perf_counter()
             _sweep_tvzg(state, ws, on_subupdate)
             _q_rows(state, ws, on_subupdate)
-            normalize_and_rescale(state)
+            _normalize(state)
             if on_subupdate is not None:
                 on_subupdate("normalize", state)
             cost = _cost(state, ws)
-        except SingularMatrixError as exc:
-            raise SingularMatrixError(f"iteration {it}: {exc}", exc.index) from exc
-        except NonFiniteError as exc:
-            raise NonFiniteError(f"iteration {it}: {exc}") from exc
-        trace.append(it, cost, (time.perf_counter() - t0) * 1000.0)
-        if on_iteration is not None:
-            on_iteration(IterationReport(it, cost_before, cost))
-        cost_before = cost
+            trace.append(it, cost, (time.perf_counter() - t0) * 1000.0)
+            if on_iteration is not None:
+                on_iteration(IterationReport(it, cost_before, cost))
+            cost_before = cost
+    except SingularMatrixError as exc:
+        raise SingularMatrixError(f"iteration {it}: {exc}", exc.index) from exc
+    except NonFiniteError as exc:
+        raise NonFiniteError(f"iteration {it}: {exc}") from exc
     return state, trace

@@ -1,10 +1,13 @@
-"""Test oracles: the full-rank model and the majorization bounds.
+"""Test oracles: the cost from scratch, the full-rank model and the majorization bounds.
 
 The update rules come from majorizing the sub-Gaussian cost once the
 joint-diagonalizability constraint has turned the full-rank model into
 a diagonal one.  What that derivation relies on lives here, not in the
 package, because no separation runs it:
 
+- the diagonal-domain cost evaluated from scratch, from the state and
+  X alone, against which the optimizer's cost (built from the
+  projection powers it carries) and its descent are checked;
 - the full-rank covariances, cost and Wiener filter, which must agree
   with their diagonal-domain counterparts, and the all-sources-at-once
   diagonal-domain filter the package's must equal bit for bit;
@@ -14,9 +17,11 @@ package, because no separation runs it:
 - the STFT and iSTFT as per-frame loops, which the package's strided
   framing and overlap-add must equal bit for bit;
 - the checkpoint as one ``json.dumps`` of the whole document, which
-  the package's streamed writer must equal byte for byte.
+  the package's streamed writer must equal byte for byte, and the
+  reader of the trace.csv the optimizer's CostTrace writes.
 """
 
+import csv
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -31,6 +36,34 @@ AUX_ATOL = 1e-8
 
 class InvalidAuxiliaryError(SgmnmfError):
     """Auxiliary variables violate their simplex/positivity constraints."""
+
+
+# ---------------------------------------------------------------------------
+# the diagonal-domain cost
+
+
+def projections(state: model.SeparationState, X: np.ndarray) -> np.ndarray:
+    """p_ijm = q_im^H x_ij (row m of Q_i applied to x_ij), shape (I, J, M)."""
+    model.check_spectrogram(state, X)
+    return (state.spatial.Q @ X.transpose(0, 2, 1)).transpose(0, 2, 1)
+
+
+def cost_ggd_jd(state: model.SeparationState, X: np.ndarray) -> float:
+    """Sub-Gaussian objective in the diagonal domain, from scratch.
+
+    -2J sum_i log|det Q_i| + sum_ijm log chi_ijm
+    + sum_ij (sum_m |p_ijm|^2 / chi_ijm)^{beta/2}
+    """
+    p2 = np.abs(projections(state, X)) ** 2
+    chi = model.mixture_gain(state).transpose(2, 0, 1)
+    y = model.sum_channels(p2.transpose(2, 0, 1) / chi, np.empty(p2.shape[:2]))
+    det_term = -2.0 * X.shape[1] * np.sum(linalg.log_abs_det(state.spatial.Q))
+    val = det_term + np.sum(np.log(chi)) + np.sum(
+        model._power(y, state.hyper.beta / 2.0, np.empty_like(y))
+    )
+    if not math.isfinite(val):
+        raise NonFiniteError("objective evaluated to NaN/Inf")
+    return float(val)
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +84,7 @@ def full_rank_scm(state: model.SeparationState) -> np.ndarray:
 
 def cost_gaussian_jd(state: model.SeparationState, X: np.ndarray) -> float:
     """Gaussian objective in the diagonal domain (beta = 2 special case)."""
-    p = model.projections(state, X)
+    p = projections(state, X)
     chi = model.mixture_gain(state)
     n_frames = X.shape[1]
     det_term = -2.0 * n_frames * np.sum(linalg.log_abs_det(state.spatial.Q))
@@ -98,7 +131,7 @@ def wiener_separate_broadcast(state: model.SeparationState, X: np.ndarray) -> np
     """
     n_bins, n_frames, n_ch = X.shape
     n_src = state.hyper.n_sources
-    p = model.projections(state, X)
+    p = projections(state, X)
     sigma = model.compute_source_psd(state.source)
     chi = model.mixture_gain(state)
     share = sigma[:, :, :, None] * state.spatial.G[:, None, :, :] / chi[:, :, None, :]
@@ -143,7 +176,7 @@ class Auxiliary:
 
 def equality_aux(state: model.SeparationState, X: np.ndarray) -> Auxiliary:
     """Auxiliary values at which the surrogate touches the objective."""
-    p2 = np.abs(model.projections(state, X)) ** 2
+    p2 = np.abs(projections(state, X)) ** 2
     chi = model.mixture_gain(state)
     ratio = p2 / chi
     y = ratio.sum(axis=2, keepdims=True)
@@ -174,7 +207,7 @@ def surrogate_tvzg(state: model.SeparationState, X: np.ndarray, aux: Auxiliary) 
     """
     aux.validate()
     beta = state.hyper.beta
-    p2 = np.abs(model.projections(state, X)) ** 2
+    p2 = np.abs(projections(state, X)) ** 2
     chi = model.mixture_gain(state)
     n_frames = X.shape[1]
 
@@ -326,3 +359,14 @@ def state_document(state: model.SeparationState) -> str:
         },
     }
     return json.dumps(doc)
+
+
+def read_trace(path):
+    """(iterations, costs) of a trace.csv, costs read back exactly."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        if header != ["iteration", "cost", "ms"]:
+            raise ValueError(f"{path}: unexpected trace header {header}")
+        rows = list(reader)
+    return [int(r[0]) for r in rows], [float(r[1]) for r in rows]

@@ -14,7 +14,7 @@ import pytest
 
 import helpers
 import oracles
-from sgmnmf import audio, metrics, model, objective, optimizer, separate, simulate
+from sgmnmf import audio, metrics, model, optimizer, separate, simulate
 
 
 def _report(name, ok, detail):
@@ -45,12 +45,12 @@ def test_descent_guarantee_full_scale():
             beta=4.0, n_sources=2, n_bases=20, iterations=200, seed=seed
         )
         state = model.init_state(hyper, *X.shape)
-        prev = objective.cost_ggd_jd(state, X)
+        prev = oracles.cost_ggd_jd(state, X)
         violations = []
 
         def audit(name, st, seed=seed):
             nonlocal prev, worst, worst_at
-            cost = objective.cost_ggd_jd(st, X)
+            cost = oracles.cost_ggd_jd(st, X)
             jump = (cost - prev) / abs(prev)
             if jump > worst:
                 worst = jump
@@ -84,13 +84,13 @@ def test_descent_three_channels_full_size(seed):
     assert X.shape == (513, 128, 3)
     hyper = model.Hyperparams(beta=4.0, n_sources=3, n_bases=20, iterations=30, seed=seed)
     state = model.init_state(hyper, *X.shape)
-    prev = objective.cost_ggd_jd(state, X)
+    prev = oracles.cost_ggd_jd(state, X)
     worst = -np.inf
     violations = []
 
     def audit(name, st):
         nonlocal prev, worst
-        cost = objective.cost_ggd_jd(st, X)
+        cost = oracles.cost_ggd_jd(st, X)
         worst = max(worst, (cost - prev) / abs(prev))
         if cost > prev + 1e-8 * abs(prev):
             violations.append((name, prev, cost))
@@ -117,7 +117,7 @@ def test_majorization_suite():
         other = helpers.random_state(rng, n_bins=2, n_frames=3, n_bases=2, beta=beta)
         other.spatial.Q = st.spatial.Q.copy()
         aux = oracles.equality_aux(other, X)
-        cost = objective.cost_ggd_jd(st, X)
+        cost = oracles.cost_ggd_jd(st, X)
         margin = (oracles.surrogate_tvzg(st, X, aux) - cost) / abs(cost)
         worst_margin = min(worst_margin, margin)
 
@@ -176,7 +176,7 @@ def test_row_matrix_collinearity():
         terms = oracles.row_update_terms(st, X, m)
         got = terms["B"][0]
 
-        p = model.projections(st, X)[0, :, m]
+        p = oracles.projections(st, X)[0, :, m]
         r = terms["r"][0]
         q = st.spatial.Q[0, m].conj()
         l = (np.abs(p) ** (4.0 - beta) * r**beta) ** 0.25
@@ -249,7 +249,7 @@ def test_oracle_equivalences():
         sigma = model.compute_source_psd(st.source)
         scm = oracles.full_rank_scm(st)
 
-        diag = objective.cost_ggd_jd(st, X)
+        diag = oracles.cost_ggd_jd(st, X)
         full = oracles.cost_ggd_fullrank(X, scm, sigma, beta)
         worst_full = max(worst_full, abs(full - diag) / abs(diag))
 
@@ -258,7 +258,7 @@ def test_oracle_equivalences():
         )
         worst_b2 = max(
             worst_b2,
-            abs(objective.cost_ggd_jd(st2, X) - oracles.cost_gaussian_jd(st2, X))
+            abs(oracles.cost_ggd_jd(st2, X) - oracles.cost_gaussian_jd(st2, X))
             / abs(oracles.cost_gaussian_jd(st2, X)),
         )
 
@@ -308,9 +308,9 @@ def test_fixed_point_gradient():
             for idx in range(flat.size):
                 keep = flat[idx]
                 flat[idx] = keep * (1 + h)
-                up = objective.cost_ggd_jd(st, X)
+                up = oracles.cost_ggd_jd(st, X)
                 flat[idx] = keep * (1 - h)
-                down = objective.cost_ggd_jd(st, X)
+                down = oracles.cost_ggd_jd(st, X)
                 flat[idx] = keep
                 worst = max(worst, abs(up - down) / (2 * h))
     ok = worst <= 1e-5

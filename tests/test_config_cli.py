@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import helpers
-from sgmnmf import audio, cli, config, model, objective, separate, simulate
+import oracles
+from sgmnmf import audio, cli, config, model, separate, simulate
 from sgmnmf.errors import ConfigError
 
 
@@ -302,7 +303,8 @@ def test_document_encodings_are_read(tmp_path, encoding):
 # the section of each run field that is not at the top level
 SECTIONS = {"window_ms": "stft", "hop_ms": "stft", "mixture": "paths", "out": "paths"}
 # values of the wrong type for each declared type a reader checks
-WRONG_VALUES = {float: ["4.0", True], int: ["4", 2.5, True], str: [1], bool: ["yes"]}
+# (None only where a str field's default is not None)
+WRONG_VALUES = {float: ["4.0", True], int: ["4", 2.5, True], str: [1, None], bool: ["yes"]}
 
 
 def _wrong_type_cases():
@@ -311,6 +313,8 @@ def _wrong_type_cases():
     for kind, cls in docs.items():
         for f in dataclasses.fields(cls):
             for value in WRONG_VALUES.get(f.type, []):
+                if value is None and f.default is None:
+                    continue
                 yield pytest.param(kind, f.name, value, id=f"{kind}-{f.name}-{value!r}")
 
 
@@ -466,9 +470,9 @@ class TestPipeline:
             wav = audio.read_wav(out / f"source_{n}.wav")
             assert (wav.n_samples, wav.n_channels) == (mix.n_samples, 2)
 
-        trace = objective.CostTrace.read_csv(out / "trace.csv")
-        assert trace.iterations == [1, 2]
-        costs = np.asarray(trace.costs)
+        iterations, costs = oracles.read_trace(out / "trace.csv")
+        assert iterations == [1, 2]
+        costs = np.asarray(costs)
         assert (np.diff(costs) <= 1e-8 * np.abs(costs[:-1])).all()
 
         state = model.load_state(out / "state.json")
@@ -707,6 +711,18 @@ class TestPipeline:
         rc = cli.main(["separate", "--config", str(scene_dir / "mixture.wav")])
         assert rc == 1
         assert re.search(r"^error: .*mixture\.wav: invalid JSON \(", capsys.readouterr().err)
+
+    def test_null_eval_out_is_an_error(self, scene_dir, tmp_path, capsys, monkeypatch):
+        # null read as a path: every file scored, then a TypeError traceback
+        monkeypatch.chdir(tmp_path)
+        images = [str(scene_dir / "image_0.wav"), str(scene_dir / "image_1.wav")]
+        doc = {"estimates": images, "references": images,
+               "mixture": str(scene_dir / "mixture.wav"), "out": None}
+        doc_path = tmp_path / "eval.json"
+        doc_path.write_text(json.dumps(doc))
+        assert cli.main(["evaluate", "--config", str(doc_path)]) == 1
+        assert re.search(r"^error: out: ", capsys.readouterr().err)
+        assert not list(tmp_path.rglob("metrics.json"))
 
     def test_reproducible_traces_across_runs(self, scene_dir, tmp_path):
         docs = []

@@ -128,7 +128,7 @@ def test_gain_psd_and_projections(n_ch, n_src, n_bases):
     _assert_close(model.compute_source_psd(st.source), sigma)
     _assert_close(model.mixture_gain(st), np.einsum("ijn,inm->ijm", sigma, g))
     p = np.einsum("imc,ijc->ijm", st.spatial.Q, X)
-    _assert_close(model.projections(st, X), p, axes=(1, 2))
+    _assert_close(oracles.projections(st, X), p, axes=(1, 2))
 
 
 @pytest.mark.parametrize("n_ch", [2, 3])
@@ -179,7 +179,7 @@ def test_row_system(n_ch, n_src, n_bases, beta):
 def test_family_sums(n_ch, n_src, n_bases, algorithm, beta, name):
     st, X = _state(240, n_ch, n_src, n_bases, beta=beta, algorithm=algorithm)
     ws = optimizer._WorkingSet(X, st.spatial.Q)
-    p2 = np.abs(model.projections(st, X)) ** 2
+    p2 = np.abs(oracles.projections(st, X)) ** 2
     ab = optimizer._chi_weights(_cm(p2), _cm(model.mixture_gain(st)), ws.ab)
     got = optimizer._family_sums(name, st, ab, model.sum_channels(ab[0], ws.y))
     for have, want in zip(got, oracle_family_sums(name, st, X)):
@@ -192,7 +192,7 @@ def test_projection_powers_are_channel_leading(n_ch):
     p2 = optimizer._WorkingSet(X, st.spatial.Q).p2
     assert p2.shape == (n_ch,) + X.shape[:2]
     assert all(p2[m].flags.c_contiguous for m in range(n_ch))
-    _assert_close(p2, _cm(np.abs(model.projections(st, X)) ** 2), axes=(0, 2))
+    _assert_close(p2, _cm(np.abs(oracles.projections(st, X)) ** 2), axes=(0, 2))
     X[3] = 0.0
     p2 = optimizer._WorkingSet(X, st.spatial.Q).p2
     assert np.array_equal(p2[:, 3], np.zeros((n_ch, X.shape[1])))
@@ -206,7 +206,7 @@ def test_projections_carried_across_q_sweep(n_ch, n_src, n_bases, algorithm, bet
     ws = optimizer._WorkingSet(X, st.spatial.Q)
     for _ in range(2):
         optimizer._q_rows(st, ws)
-        fresh = np.abs(model.projections(st, X)[ws.active]) ** 2
+        fresh = np.abs(oracles.projections(st, X)[ws.active]) ** 2
         _assert_close(ws.p2[:, ws.active], _cm(fresh), axes=(0, 2))
         assert np.array_equal(ws.p2[:, 2], np.zeros((n_ch, X.shape[1])))
 
@@ -234,7 +234,7 @@ def test_worker_count_does_not_change_results_three_channels():
         X[5] = 0.0
         st, trace = optimizer.run(st, X, workers=workers)
         results.append((st.spatial.Q.tobytes(), st.source.T.tobytes(),
-                        [repr(c) for c in trace.costs]))
+                        [repr(p.cost) for p in trace.points]))
     assert results[1] == results[0]
     assert results[2] == results[0]
 

